@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 Vector = tuple[int, ...]
 Exponents = tuple[int, ...]
@@ -470,9 +470,6 @@ class MacMahonElement:
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def map_coefficients(self, fn: Callable[[int], int]) -> MacMahonElement:
-        return MacMahonElement(self.width, {p: fn(c) for p, c in self.terms.items()})
 
 
 # ---------------------------------------------------------------------------

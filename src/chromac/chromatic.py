@@ -79,7 +79,8 @@ def beta_table(g: WeightedGraph, max_edges: int = DEFAULT_MAX_EDGES) -> dict[Vec
     type with no cancellation.
     """
     if not g.is_forest():
-        raise ValueError("input graph contains a cycle; the table is only defined for forests")
+        raise NotApplicableError(
+            "input graph contains a cycle; the table is only defined for forests")
     if g.edge_count > max_edges:
         raise CapExceededError(f"{g.edge_count} edges exceeds the cap of {max_edges}")
     table: dict[VectorPartition, int] = {}

@@ -8,10 +8,12 @@ exceeded, 4 invariant not applicable to the input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys
-from typing import Iterator
+from typing import Callable, Iterator
 
+from .algebra import MacMahonElement
 from .bases import is_triangular_with_unit_diagonal, matrix_to_text, star_family, transition_matrix
 from .chromatic import (DEFAULT_MAX_COLORINGS, DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES,
                         beta_table, cmf, cmf_by_enumeration, egdp, specialize_csf,
@@ -22,9 +24,17 @@ from .graphs import (GraphFormatError, WeightedGraph, all_labeled_trees,
 from .hopf import (antipode, coproduct, egdp_convolution, recover_egdp_hopf,
                    recover_stats, symbolic_counting_image)
 from .recovery import recover_egdp_explicit
-from .algebra import MacMahonElement
 
-import itertools
+
+def _int_at_least(least: int) -> Callable[[str], int]:
+    """argparse type for an integer option that must be at least `least`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a non-integer as an "invalid int value"
+    return parse
 
 
 def _load_graph(path: str) -> WeightedGraph:
@@ -186,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("path")
     compute.add_argument("--invariant", required=True,
                          choices=["cmf", "wcsf", "csf", "beta", "egdp", "wgdp", "gdp"])
-    compute.add_argument("--truncate", type=int, default=None, metavar="K",
+    compute.add_argument("--truncate", type=_int_at_least(0), default=None, metavar="K",
                          help="expand the cmf in K colors")
     compute.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     compute.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
@@ -201,10 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check both EGDP recovery routes on forests")
     verify.add_argument("--mode", choices=["exhaustive", "random"], default="random")
-    verify.add_argument("--n-max", type=int, default=5)
-    verify.add_argument("--weight-max", type=int, default=2)
+    verify.add_argument("--n-max", type=_int_at_least(1), default=5)
+    verify.add_argument("--weight-max", type=_int_at_least(1), default=2)
     verify.add_argument("--r", type=int, default=1)
-    verify.add_argument("--trials", type=int, default=100)
+    verify.add_argument("--trials", type=_int_at_least(1), default=100)
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=cmd_verify)
 
@@ -215,14 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     bases = sub.add_parser("bases", help="chromatic basis checks")
     bases_sub = bases.add_subparsers(dest="bases_command", required=True)
     check = bases_sub.add_parser("check", help="star-family transition matrices")
-    check.add_argument("--n-max", type=int, default=4)
-    check.add_argument("--weight-max", type=int, default=6)
+    check.add_argument("--n-max", type=_int_at_least(1), default=4)
+    check.add_argument("--weight-max", type=_int_at_least(1), default=6)
     check.add_argument("--show-matrices", action="store_true")
     check.set_defaults(func=cmd_bases_check)
 
     forest = sub.add_parser("random-forest", help="emit a random weighted forest")
-    forest.add_argument("--n", type=int, required=True)
-    forest.add_argument("--max-weight", type=int, default=4)
+    forest.add_argument("--n", type=_int_at_least(0), required=True)
+    forest.add_argument("--max-weight", type=_int_at_least(1), default=4)
     forest.add_argument("--r", type=int, default=1)
     forest.add_argument("--seed", type=int, default=0)
     forest.set_defaults(func=cmd_random_forest)

@@ -7,15 +7,25 @@ counting functional sends a basis symbol of multidegree (n, w) and
 length l to t^n (1-u)^(n-l) v^w; on the CMF of a forest with e edges
 this collapses to the single monomial t^n u^e v^w, which is what makes
 the degree-polynomial recovery work.
+
+Because a counting functional reads only the grade and the length of a
+basis symbol, the counting image and the convolution of two counting
+functionals never build the coproduct.  They bin the element by those
+statistics (for the convolution: of every sub-multiset of parts and of
+the whole partition, with multiplicities from products of binomials) and
+write the binomial expansion of each (1 - u)^k straight into the result.
+This is the character calculus of combinatorial Hopf algebras
+(Aguiar-Bergeron-Sottile, Compositio Math. 142, 2006).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .algebra import (LaurentPolynomial, MacMahonElement, TensorElement,
-                      VectorPartition)
+                      Vector, VectorPartition)
 from .chromatic import egdp_variables
 
 
@@ -117,13 +127,60 @@ def counting_variables(width: int) -> tuple[str, ...]:
     return ("t", "u", *(f"v{i}" for i in range(1, r + 1)))
 
 
+def _one_minus_u_power(k: int) -> list[int]:
+    """Coefficients of u^0, ..., u^k in (1 - u)^k.  A negative k raises
+    what LaurentPolynomial.__pow__ raises for (1 - u) ** k."""
+    if k < 0:
+        raise ValueError("negative powers only for unit monomials")
+    return [-math.comb(k, i) if i & 1 else math.comb(k, i) for i in range(k + 1)]
+
+
+def _submultiset_stats(partition: VectorPartition, radix: int) -> dict[int, int]:
+    """Number of sub-multisets of the parts with each (length, grade).
+
+    The statistics (l, g0, g1, ...) are packed into the integer
+    l + g0 radix + g1 radix^2 + ..., so adding packed parts adds
+    statistics; radix must exceed the length and every grade coordinate
+    of the partition, so that no sum carries.  A part of multiplicity m
+    taken k times contributes C(m, k), so the counts sum to 2^length."""
+    stats = {0: 1}
+    for part, m in partition.multiplicities().items():
+        packed = 1 + sum(c * radix ** (i + 1) for i, c in enumerate(part))
+        steps = [(k * packed, math.comb(m, k)) for k in range(m + 1)]
+        merged: dict[int, int] = {}
+        for key, count in stats.items():
+            for step, ways in steps:
+                merged[key + step] = merged.get(key + step, 0) + count * ways
+        stats = merged
+    return stats
+
+
+def _unpack(key: int, radix: int, width: int) -> tuple[int, Vector]:
+    """Inverse of the packing in _submultiset_stats: (length, grade)."""
+    digits = []
+    for _ in range(width + 1):
+        key, digit = divmod(key, radix)
+        digits.append(digit)
+    return digits[0], tuple(digits[1:])
+
+
 def symbolic_counting_image(element: MacMahonElement) -> LaurentPolynomial:
-    """Image of the element under the counting map with formal t, u, v."""
+    """Image of the element under the counting map with formal t, u, v.
+
+    Sums the coefficients of each (grade, length) = ((n, w), l) and
+    expands t^n (1-u)^(n-l) v^w once per bucket."""
     names = counting_variables(element.width)
-    t = LaurentPolynomial.variable(names, "t")
-    u = LaurentPolynomial.variable(names, "u")
-    vs = [LaurentPolynomial.variable(names, name) for name in names[2:]]
-    return counting_functional(t, u, vs)(element)
+    buckets: dict[tuple[Vector, int], int] = {}
+    for partition, coeff in element.terms.items():
+        key = (partition.grade, partition.length)
+        buckets[key] = buckets.get(key, 0) + coeff
+    acc: dict[tuple[int, ...], int] = {}
+    for (grade, length), coeff in buckets.items():
+        n, weight = grade[0], grade[1:]
+        for k, c in enumerate(_one_minus_u_power(n - length)):
+            key = (n, k, *weight)
+            acc[key] = acc.get(key, 0) + coeff * c
+    return LaurentPolynomial(names, acc)
 
 
 @dataclass(frozen=True)
@@ -152,16 +209,37 @@ def recover_stats(element: MacMahonElement) -> ForestStats:
 
 def egdp_convolution(element: MacMahonElement) -> LaurentPolynomial:
     """Convolution of two counting functionals that evaluates, on the CMF
-    of a forest with c components, to w^c times the forest's EGDP."""
-    r = element.width - 1
-    names = egdp_variables(r)
-    w = LaurentPolynomial.variable(names, "w")
-    x = LaurentPolynomial.variable(names, "x")
-    z = LaurentPolynomial.variable(names, "z")
-    ys = [LaurentPolynomial.variable(names, name) for name in names[2:-1]]
-    f = counting_functional(w * x, (w ** -1) * z, ys)
-    g = counting_functional(w, w ** -1, [1] * r)
-    return convolve(f, g, element)
+    of a forest with c components, to w^c times the forest's EGDP.
+
+    The functionals are f = counting_functional(w x, z/w, y) and
+    g = counting_functional(w, 1/w, 1).  For a sub-multiset Omega of
+    Lambda with grade (a, y) and length b, f(p_Omega) g(p_(Lambda-Omega))
+    is w^n x^a y^y (1 - z/w)^p (1 - 1/w)^q with p = a - b and
+    q = (n - a) - (l - b), where (n, ...) is the grade and l the length
+    of Lambda.  So the coefficients are summed per (n, l, a, y, b) and
+    each bucket is expanded once."""
+    names = egdp_variables(element.width - 1)
+    radix = 1 + max((max(*p.grade, p.length) for p in element.terms), default=0)
+    buckets: dict[tuple[int, int, int], int] = {}
+    for partition, coeff in element.terms.items():
+        n, length = partition.grade[0], partition.length
+        for key, count in _submultiset_stats(partition, radix).items():
+            bucket = (n, length, key)
+            buckets[bucket] = buckets.get(bucket, 0) + coeff * count
+    acc: dict[tuple[int, ...], int] = {}
+    for (n, length, key), coeff in buckets.items():
+        sub_length, grade = _unpack(key, radix, element.width)
+        p = grade[0] - sub_length
+        # every bucket comes from a basis symbol in the support, so even
+        # one whose coefficients cancel must be a valid power
+        z_coeffs = _one_minus_u_power(p)
+        w_coeffs = _one_minus_u_power(n - length - p)
+        for i, ci in enumerate(z_coeffs):
+            ci *= coeff
+            for j, cj in enumerate(w_coeffs):
+                monomial = (n - i - j, *grade, i)
+                acc[monomial] = acc.get(monomial, 0) + ci * cj
+    return LaurentPolynomial(names, acc)
 
 
 def recover_egdp_hopf(element: MacMahonElement) -> LaurentPolynomial:

@@ -1,6 +1,7 @@
 """Shared fixtures: the weight-swapped path pair, a deterministic graph
-corpus, weight patterns for exhaustive tree sweeps, and Hopf-axiom
-checkers used by both the unit and acceptance suites."""
+corpus, weight patterns for exhaustive tree sweeps, Hopf-axiom checkers
+used by both the unit and acceptance suites, and definitional oracles
+for the bucketed Hopf evaluations."""
 
 from __future__ import annotations
 
@@ -8,9 +9,11 @@ import random
 
 import pytest
 
-from chromac import (MacMahonElement, TensorElement, VectorPartition,
-                     WeightedGraph, antipode, coproduct, counterexample_pair,
-                     cycle_graph, path_graph, star_graph)
+from chromac import (LaurentPolynomial, MacMahonElement, TensorElement,
+                     VectorPartition, WeightedGraph, antipode, convolve,
+                     coproduct, counterexample_pair, counting_functional,
+                     cycle_graph, egdp_variables, path_graph, star_graph)
+from chromac.hopf import counting_variables
 
 
 acceptance_lines: list[str] = []
@@ -140,3 +143,31 @@ def coproduct_respects_product(a: MacMahonElement, b: MacMahonElement) -> bool:
             key = (l1.concat(l2), r1.concat(r2))
             terms[key] = terms.get(key, 0) + c1 * c2
     return lhs == TensorElement(a.width, terms)
+
+
+# ---------------------------------------------------------------------------
+# Definitional oracles for the bucketed Hopf evaluations
+
+
+def egdp_convolution_by_coproduct(element: MacMahonElement) -> LaurentPolynomial:
+    """egdp_convolution by definition: the two counting functionals
+    convolved through the materialised coproduct."""
+    r = element.width - 1
+    names = egdp_variables(r)
+    w = LaurentPolynomial.variable(names, "w")
+    x = LaurentPolynomial.variable(names, "x")
+    z = LaurentPolynomial.variable(names, "z")
+    ys = [LaurentPolynomial.variable(names, name) for name in names[2:-1]]
+    f = counting_functional(w * x, (w ** -1) * z, ys)
+    g = counting_functional(w, w ** -1, [1] * r)
+    return convolve(f, g, element)
+
+
+def counting_image_by_functional(element: MacMahonElement) -> LaurentPolynomial:
+    """symbolic_counting_image by definition: the counting functional with
+    formal t, u, v applied basis symbol by basis symbol."""
+    names = counting_variables(element.width)
+    t = LaurentPolynomial.variable(names, "t")
+    u = LaurentPolynomial.variable(names, "u")
+    vs = [LaurentPolynomial.variable(names, name) for name in names[2:]]
+    return counting_functional(t, u, vs)(element)

@@ -90,7 +90,7 @@ def test_beta_table_matches_cmf_signs(t1):
 
 
 def test_beta_table_rejects_cycles():
-    with pytest.raises(ValueError, match="cycle"):
+    with pytest.raises(NotApplicableError, match="cycle"):
         beta_table(cycle_graph([1, 1, 1]))
 
 

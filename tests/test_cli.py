@@ -243,6 +243,43 @@ def test_wgdp_needs_scalar_weights(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_beta_on_a_cycle_is_not_applicable(capsys, tmp_path):
+    path = tmp_path / "c4.graph"
+    path.write_text(serialize_graph(cycle_graph([1, 2, 1, 2])))
+    code, out, err = run(capsys, "compute", str(path), "--invariant", "beta")
+    assert code == 4
+    assert out == ""
+    assert "cycle" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "0"],
+    ["verify", "--mode", "exhaustive", "--n-max", "0"],
+    ["verify", "--weight-max", "0"],
+    ["bases", "check", "--n-max", "0"],
+    ["bases", "check", "--weight-max", "0"],
+    ["compute", "g.graph", "--invariant", "cmf", "--truncate", "-1"],
+    ["random-forest", "--n", "-1"],
+    ["random-forest", "--n", "3", "--max-weight", "0"],
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "RESULT" not in captured.out
+    assert "must be >=" in captured.err
+
+
+def test_zero_truncation_and_empty_forest_stay_valid(capsys, edge_file):
+    code, out, _ = run(capsys, "compute", edge_file, "--invariant", "cmf", "--truncate", "0")
+    assert code == 0
+    assert out == "0\n"
+    code, out, _ = run(capsys, "random-forest", "--n", "0")
+    assert code == 0
+    assert parse_graph(out).n == 0
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 

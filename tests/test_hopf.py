@@ -15,8 +15,9 @@ from chromac import (LaurentPolynomial, LinearFunctional, MacMahonElement,
                      single_vertex, symbolic_counting_image, tensor_product)
 
 from conftest import (antipode_convolution, coproduct_respects_product,
-                      counit, double_coproduct_left, double_coproduct_right,
-                      random_element)
+                      counit, counting_image_by_functional,
+                      double_coproduct_left, double_coproduct_right,
+                      egdp_convolution_by_coproduct, random_element)
 
 
 def vp(*parts):
@@ -276,6 +277,74 @@ def test_recovery_multiweight():
 def test_recovery_rejects_non_forests():
     with pytest.raises(ValueError):
         recover_egdp_hopf(cmf(cycle_graph([1, 2, 1])))
+
+
+# ---------------------------------------------------------------------------
+# Bucketed evaluation against the definitional coproduct route
+
+
+def _outcome(fn, element):
+    """The value, or the message of the ValueError raised instead."""
+    try:
+        return fn(element)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _oracle_inputs() -> list[MacMahonElement]:
+    rng = random.Random(107)
+    elements = []
+    for r in (1, 2, 3):
+        for trial in range(12):
+            g = random_forest(rng.randint(0, 7), max_weight=3, r=r, seed=2000 + 50 * r + trial)
+            elements.append(cmf(g))
+    for weights in ([1, 1, 1], [1, 2, 3], [2, 1, 2, 1], [1, 2, 1, 3, 2],
+                    [(1, 2), (2, 1), (1, 1)]):
+        elements.append(cmf(cycle_graph(weights)))
+    for width in (1, 2, 3):
+        for _ in range(40):
+            elements.append(random_element(rng, width=width, max_terms=4))
+    for g in (path_graph([1, 2, 1, 3]), random_forest(6, max_weight=2, r=2, seed=5)):
+        elements.append(3 * cmf(g))
+        elements.append(-2 * cmf(g))
+    elements.append(MacMahonElement.zero(2))
+    elements.append(MacMahonElement.one(2))
+    elements.append(MacMahonElement.one(1))
+    elements.append(MacMahonElement.power_sum(VectorPartition.of([(2,), (1,), (1,)])))
+    return elements
+
+
+def test_bucketed_evaluation_matches_coproduct_route():
+    for element in _oracle_inputs():
+        assert _outcome(egdp_convolution, element) == \
+            _outcome(egdp_convolution_by_coproduct, element), element
+        assert _outcome(symbolic_counting_image, element) == \
+            _outcome(counting_image_by_functional, element), element
+
+
+def test_negative_powers_raise_as_on_the_coproduct_route():
+    lone = p_((0, 1))
+    for fn in (egdp_convolution, symbolic_counting_image, recover_egdp_hopf):
+        with pytest.raises(ValueError, match="negative powers"):
+            fn(lone)
+    # Every symbol has n >= l, so only the convolution meets a negative
+    # power; the Hopf route stops first at the two-monomial image.
+    mixed = p_((0, 1), (2, 1)) + p_((1, 1))
+    with pytest.raises(ValueError, match="negative powers"):
+        egdp_convolution(mixed)
+    assert symbolic_counting_image(mixed).to_text() == "+1 t v +1 t^2 v^2"
+    with pytest.raises(ValueError, match="single monomial"):
+        recover_egdp_hopf(mixed)
+    with pytest.raises(ValueError, match="negative powers"):
+        recover_egdp_hopf(p_((0, 1), (2, 1)))
+    # The offending statistics of the two symbols cancel bucket for
+    # bucket; the coproduct route still meets each symbol and raises.
+    with pytest.raises(ValueError, match="negative powers"):
+        egdp_convolution(p_((2, 2), (2, 0), (0, 1)) - p_((2, 1), (2, 1), (0, 1)))
+    with pytest.raises(ValueError, match="negative powers"):
+        symbolic_counting_image(p_((0, 1), (0, 3)) - p_((0, 2), (0, 2)))
+    with pytest.raises(ValueError, match="width >= 2"):
+        symbolic_counting_image(MacMahonElement.power_sum(VectorPartition.of([(1,)])))
 
 
 # ---------------------------------------------------------------------------
