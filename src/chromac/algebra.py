@@ -58,6 +58,15 @@ class VectorPartition:
             object.__setattr__(self, "parts", ordered)
 
     @classmethod
+    def from_canonical(cls, width: int, parts: tuple[Vector, ...]) -> VectorPartition:
+        """Trusted constructor for parts already valid and in descending
+        order; skips the checks, for callers that build many partitions."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "width", width)
+        object.__setattr__(partition, "parts", parts)
+        return partition
+
+    @classmethod
     def of(cls, parts: Iterable[Iterable[int]], width: int | None = None) -> VectorPartition:
         """Canonicalize an iterable of parts; width is required when empty."""
         tuples = tuple(tuple(p) for p in parts)
@@ -171,6 +180,46 @@ def partition_binomial(lam: VectorPartition, omega: VectorPartition) -> int:
         if result == 0:
             return 0
     return result
+
+
+def pack(vector: Iterable[int], radix: int) -> int:
+    """One integer for a vector of coordinates below radix, most
+    significant first.  Adding codes adds the vectors as long as no
+    coordinate sum reaches radix, and integer order is the lexicographic
+    order of the vectors."""
+    code = 0
+    for c in vector:
+        code = code * radix + c
+    return code
+
+
+def unpack(code: int, radix: int, width: int) -> Vector:
+    """Inverse of pack for vectors with width coordinates."""
+    digits = []
+    for _ in range(width):
+        code, digit = divmod(code, radix)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def submultiset_stats(partition: VectorPartition, radix: int) -> dict[int, int]:
+    """Number of sub-multisets of the parts with each (length, grade).
+
+    The statistics are packed as pack((length, *grade), radix), so adding
+    packed parts adds statistics; radix must exceed the length and every
+    grade coordinate of the partition, so that no sum carries.  A part of
+    multiplicity m taken k times contributes C(m, k), so the counts sum
+    to 2^length."""
+    stats = {0: 1}
+    for part, m in partition.multiplicities().items():
+        packed = pack((1, *part), radix)
+        steps = [(k * packed, math.comb(m, k)) for k in range(m + 1)]
+        merged: dict[int, int] = {}
+        for key, count in stats.items():
+            for step, ways in steps:
+                merged[key + step] = merged.get(key + step, 0) + count * ways
+        stats = merged
+    return stats
 
 
 # ---------------------------------------------------------------------------

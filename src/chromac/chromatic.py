@@ -10,13 +10,20 @@ here by direct enumeration as an independent cross-check.
 The extended generalized degree polynomial (EGDP) records, for every
 vertex subset A, the external edge count, cardinality, weight and
 internal edge count of A as a monomial w^ext x^|A| y^weight z^int.
+
+On a forest both come from dynamic programs over each rooted tree, which
+merge every child into its parent, so their cost follows the number of
+distinct partial results rather than 2^e edge or 2^n vertex subsets; a
+forest's subset-type table (beta) is read off its CMF.  A graph with a
+cycle is expanded over all edge subsets and all vertex subsets.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .algebra import LaurentPolynomial, MacMahonElement, VectorPartition, truncation_variables
+from .algebra import (LaurentPolynomial, MacMahonElement, VectorPartition, pack,
+                      truncation_variables, unpack)
 from .errors import CapExceededError, NotApplicableError
 from .graphs import WeightedGraph
 
@@ -60,10 +67,20 @@ def _subset_type(g: WeightedGraph, mask: int) -> VectorPartition:
 
 
 def cmf(g: WeightedGraph, max_edges: int = DEFAULT_MAX_EDGES) -> MacMahonElement:
-    """Chromatic MacMahon symmetric function, expanded over edge subsets."""
+    """Chromatic MacMahon symmetric function.
+
+    A forest's comes from its edge-subset counts per component type
+    (`_forest_type_counts`), signed by the parity of the subset size,
+    which the type determines there: n - length.  Any other graph is
+    expanded over all 2^e edge subsets, with cancellation.
+    """
     if g.edge_count > max_edges:
         raise CapExceededError(f"{g.edge_count} edges exceeds the cap of {max_edges}")
-    terms: dict[VectorPartition, int] = {}
+    if g.is_forest():
+        terms = {partition: -count if (g.n - partition.length) & 1 else count
+                 for partition, count in _forest_type_counts(g).items()}
+        return MacMahonElement(g.r + 1, terms)
+    terms = {}
     for mask in range(1 << g.edge_count):
         key = _subset_type(g, mask)
         sign = -1 if mask.bit_count() & 1 else 1
@@ -76,18 +93,90 @@ def beta_table(g: WeightedGraph, max_edges: int = DEFAULT_MAX_EDGES) -> dict[Vec
 
     These counts carry the full CMF of the forest, since the subset type
     determines |S| there (length n - |S|), making the signs uniform per
-    type with no cancellation.
+    type with no cancellation; so the table is read off the CMF as the
+    absolute values of its coefficients.
     """
     if not g.is_forest():
         raise NotApplicableError(
             "input graph contains a cycle; the table is only defined for forests")
-    if g.edge_count > max_edges:
-        raise CapExceededError(f"{g.edge_count} edges exceeds the cap of {max_edges}")
-    table: dict[VectorPartition, int] = {}
-    for mask in range(1 << g.edge_count):
-        key = _subset_type(g, mask)
-        table[key] = table.get(key, 0) + 1
-    return table
+    return {partition: abs(coeff) for partition, coeff in cmf(g, max_edges).terms.items()}
+
+
+def _rooted_forest(g: WeightedGraph) -> list[tuple[int, int]]:
+    """(vertex, parent) pairs of a forest, breadth first from the smallest
+    vertex of each tree, so that every vertex comes after its parent.
+    Every tree root hangs off a virtual vertex g.n."""
+    adjacency: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    order: list[tuple[int, int]] = []
+    seen = [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        i = len(order)
+        order.append((root, g.n))
+        while i < len(order):
+            v = order[i][0]
+            i += 1
+            for u in adjacency[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    order.append((u, v))
+    return order
+
+
+def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
+    """Number of edge subsets of a forest per component type, by dynamic
+    programming over each rooted tree.
+
+    A component (size, weight...) is a packed code.  A subtree's state is
+    one integer: in its low bits the code of the component that holds the
+    root (still open), and above them one digit per distinct closed
+    component, counting how often it occurs.  Codes have room for every
+    sum of parts and digits for n, so joining two states adds them.
+    Merging a child into its parent, the edge between them is either in
+    the subset (the open codes add) or not (the child's open component
+    closes).  Tree roots merge into a virtual vertex with an empty open
+    component, always without the edge.
+    """
+    radix = max(g.n, *g.total_weight) + 1
+    width = g.r + 1
+    low = (radix ** width).bit_length()
+    digit = g.n.bit_length()
+    open_mask = (1 << low) - 1
+    shifts: dict[int, int] = {}  # code of a closed component -> shift of its digit
+    states = [{pack((1, *w), radix): 1} for w in g.weights]
+    states.append({0: 1})
+    for v, parent in reversed(_rooted_forest(g)):
+        child = states[v]
+        offers = dict(child) if parent < g.n else {}
+        for state, count in child.items():
+            code = state & open_mask
+            shift = shifts.setdefault(code, low + digit * len(shifts))
+            key = state - code + (1 << shift)  # open code 0: never a key of child
+            offers[key] = offers.get(key, 0) + count
+        merged: dict[int, int] = {}
+        for state, count in states[parent].items():
+            for offer, times in offers.items():
+                merged[state + offer] = merged.get(state + offer, 0) + count * times
+        states[parent] = merged
+        child.clear()
+    part_at = {shift: unpack(code, radix, width) for code, shift in shifts.items()}
+    mask = (1 << digit) - 1
+    counts = {}
+    for state, count in states[g.n].items():
+        parts: list[tuple[int, ...]] = []
+        while state:
+            shift = low + ((state & -state).bit_length() - 1 - low) // digit * digit
+            times = state >> shift & mask
+            parts += [part_at[shift]] * times
+            state -= times << shift
+        parts.sort(reverse=True)
+        counts[VectorPartition.from_canonical(width, tuple(parts))] = count
+    return counts
 
 
 def specialize_csf(element: MacMahonElement, keep: str) -> MacMahonElement:
@@ -117,10 +206,16 @@ def egdp_variables(r: int) -> tuple[str, ...]:
 
 def egdp(g: WeightedGraph, max_vertices: int = DEFAULT_MAX_VERTICES) -> LaurentPolynomial:
     """Extended generalized degree polynomial: one monomial
-    w^ext(A) x^|A| y^wt(A) z^int(A) per vertex subset A."""
+    w^ext(A) x^|A| y^wt(A) z^int(A) per vertex subset A.
+
+    A forest's comes from `_forest_egdp_terms`; any other graph's from
+    all 2^n vertex subsets.
+    """
     if g.n > max_vertices:
         raise CapExceededError(f"{g.n} vertices exceeds the cap of {max_vertices}")
     names = egdp_variables(g.r)
+    if g.is_forest():
+        return LaurentPolynomial(names, _forest_egdp_terms(g))
     terms: dict[tuple[int, ...], int] = {}
     for mask in range(1 << g.n):
         size = mask.bit_count()
@@ -139,6 +234,49 @@ def egdp(g: WeightedGraph, max_vertices: int = DEFAULT_MAX_VERTICES) -> LaurentP
         key = (external, size, *weight, internal)
         terms[key] = terms.get(key, 0) + 1
     return LaurentPolynomial(names, terms)
+
+
+def _forest_egdp_terms(g: WeightedGraph) -> dict[tuple[int, ...], int]:
+    """EGDP exponents of a forest with their counts, by dynamic programming
+    over each rooted tree.
+
+    The exponent (ext, size, weight..., int) of a vertex subset of a
+    subtree is a packed code, so that joining subsets adds codes.  Each
+    vertex keeps two polynomials, for subsets without and with it.
+    Merging a child into its parent, the edge between them is external
+    when exactly one end is in the subset and internal when both are.
+    Tree roots merge into a virtual vertex that is never in the subset,
+    by an edge that counts for nothing.
+    """
+    slots = g.r + 3
+    radix = max(g.n, g.edge_count, *g.total_weight) + 1
+    external = radix ** (slots - 1)
+    without = [{0: 1} for _ in range(g.n + 1)]
+    with_ = [{pack((0, 1, *w, 0), radix): 1} for w in g.weights]
+    for v, parent in reversed(_rooted_forest(g)):
+        edge = external if parent < g.n else 0
+        without[parent] = _times(without[parent], _shifted_sum(without[v], 0, with_[v], edge))
+        if parent < g.n:
+            with_[parent] = _times(with_[parent], _shifted_sum(without[v], external, with_[v], 1))
+    return {unpack(code, radix, slots): count for code, count in without[g.n].items()}
+
+
+def _shifted_sum(a: dict[int, int], shift_a: int,
+                 b: dict[int, int], shift_b: int) -> dict[int, int]:
+    """Sum of two packed-exponent polynomials, each times a monomial."""
+    total = {code + shift_a: count for code, count in a.items()}
+    for code, count in b.items():
+        total[code + shift_b] = total.get(code + shift_b, 0) + count
+    return total
+
+
+def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two packed-exponent polynomials."""
+    product: dict[int, int] = {}
+    for code_a, count_a in a.items():
+        for code_b, count_b in b.items():
+            product[code_a + code_b] = product.get(code_a + code_b, 0) + count_a * count_b
+    return product
 
 
 def specialize_egdp(poly: LaurentPolynomial, target: str) -> LaurentPolynomial:

@@ -100,7 +100,8 @@ def _weight_assignments(n: int, weight_max: int, r: int) -> Iterator[tuple[tuple
 
 
 def _check_forest(g: WeightedGraph) -> str | None:
-    """Verify both recovery routes against the subset expansion; returns an
+    """Verify both recovery routes against `egdp`, which on a forest is a
+    tree dynamic program that does not go through the CMF; returns an
     error description or None."""
     expected = egdp(g)
     element = cmf(g)

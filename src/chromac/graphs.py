@@ -314,14 +314,24 @@ def parse_graph(text: str) -> WeightedGraph:
             raise GraphFormatError(f"line {lineno}: unknown directive {key!r}")
     if n is None:
         raise GraphFormatError("missing n line")
-    missing = [v for v in range(n) if v not in weight_lines]
-    if missing:
-        raise GraphFormatError(f"missing weight for vertices {missing}")
+    # an error lists at most the first ten vertices, so that a huge n
+    # cannot make a huge message
+    present = sum(1 for v in weight_lines if 0 <= v < n)
+    if present < n:
+        missing = (v for v in range(n) if v not in weight_lines)
+        raise GraphFormatError(f"missing weight for {n - present} of {n} vertices: "
+                               + _first_ten(missing, n - present))
     extra = [v for v in weight_lines if not 0 <= v < n]
     if extra:
-        raise GraphFormatError(f"weight for out-of-range vertices {extra}")
+        raise GraphFormatError(f"weight for {len(extra)} out-of-range vertices: "
+                               + _first_ten(extra, len(extra)))
     weights = tuple(weight_lines[v] for v in range(n))
     return WeightedGraph(n, weights, tuple(edges), r)
+
+
+def _first_ten(vertices: Iterable[int], count: int) -> str:
+    shown = list(itertools.islice(vertices, 10))
+    return f"{shown} ..." if count > len(shown) else f"{shown}"
 
 
 def serialize_graph(g: WeightedGraph) -> str:

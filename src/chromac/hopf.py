@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .algebra import (LaurentPolynomial, MacMahonElement, TensorElement,
-                      Vector, VectorPartition)
+                      Vector, VectorPartition, submultiset_stats, unpack)
 from .chromatic import egdp_variables
 
 
@@ -135,35 +135,6 @@ def _one_minus_u_power(k: int) -> list[int]:
     return [-math.comb(k, i) if i & 1 else math.comb(k, i) for i in range(k + 1)]
 
 
-def _submultiset_stats(partition: VectorPartition, radix: int) -> dict[int, int]:
-    """Number of sub-multisets of the parts with each (length, grade).
-
-    The statistics (l, g0, g1, ...) are packed into the integer
-    l + g0 radix + g1 radix^2 + ..., so adding packed parts adds
-    statistics; radix must exceed the length and every grade coordinate
-    of the partition, so that no sum carries.  A part of multiplicity m
-    taken k times contributes C(m, k), so the counts sum to 2^length."""
-    stats = {0: 1}
-    for part, m in partition.multiplicities().items():
-        packed = 1 + sum(c * radix ** (i + 1) for i, c in enumerate(part))
-        steps = [(k * packed, math.comb(m, k)) for k in range(m + 1)]
-        merged: dict[int, int] = {}
-        for key, count in stats.items():
-            for step, ways in steps:
-                merged[key + step] = merged.get(key + step, 0) + count * ways
-        stats = merged
-    return stats
-
-
-def _unpack(key: int, radix: int, width: int) -> tuple[int, Vector]:
-    """Inverse of the packing in _submultiset_stats: (length, grade)."""
-    digits = []
-    for _ in range(width + 1):
-        key, digit = divmod(key, radix)
-        digits.append(digit)
-    return digits[0], tuple(digits[1:])
-
-
 def symbolic_counting_image(element: MacMahonElement) -> LaurentPolynomial:
     """Image of the element under the counting map with formal t, u, v.
 
@@ -223,12 +194,12 @@ def egdp_convolution(element: MacMahonElement) -> LaurentPolynomial:
     buckets: dict[tuple[int, int, int], int] = {}
     for partition, coeff in element.terms.items():
         n, length = partition.grade[0], partition.length
-        for key, count in _submultiset_stats(partition, radix).items():
+        for key, count in submultiset_stats(partition, radix).items():
             bucket = (n, length, key)
             buckets[bucket] = buckets.get(bucket, 0) + coeff * count
     acc: dict[tuple[int, ...], int] = {}
     for (n, length, key), coeff in buckets.items():
-        sub_length, grade = _unpack(key, radix, element.width)
+        sub_length, *grade = unpack(key, radix, element.width + 1)
         p = grade[0] - sub_length
         # every bucket comes from a basis symbol in the support, so even
         # one whose coefficients cancel must be a valid power

@@ -11,8 +11,11 @@ implemented below both literally and as the indicator it equals.
 
 from __future__ import annotations
 
+import math
+
 from .algebra import (LaurentPolynomial, VectorPartition, choose,
-                      partition_binomial, partitions_of)
+                      partition_binomial, partitions_of, submultiset_stats,
+                      unpack)
 from .errors import NotApplicableError
 
 
@@ -67,39 +70,35 @@ def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
     """Assemble the EGDP of a forest from its subset-type table.
 
     Equivalent to summing count * (-1)^(n - length) * recovery_coefficient
-    over the table for every statistics tuple, but organized per type:
-    each sub-partition of a type lands directly in its (b, c) bucket.
+    over the table for every statistics tuple.  A sub-multiset of a type
+    with size b, weight c and length l enters only through (b, c, l) and
+    the type's length, so the signed counts are summed per such bucket
+    over all types, and each bucket's binomials are expanded once.
     """
-    grid: dict[tuple[int, int, int, int], int] = {}
+    radix = 1 + max((max(*p.grade, p.length) for p in table), default=0)
+    buckets: dict[tuple[int, int], int] = {}  # (type length, packed (l, b, c))
     for partition, count in table.items():
         if partition.width != 2:
             raise NotApplicableError("the explicit route requires scalar weights (width 2 types)")
         if partition.grade != (n, total_weight):
             raise ValueError(f"type {partition} does not have multidegree ({n},{total_weight})")
-        type_sign = -1 if (n - partition.length) & 1 else 1
-        base = count * type_sign
-        # sub-multisets of the parts, with the product of per-part binomials
-        subsets: list[tuple[int, int, int, int]] = [(0, 0, 0, 1)]  # (b, c, length, multiplicity)
-        for part, m in partition.multiplicities().items():
-            extended = []
-            for b0, c0, l0, mult in subsets:
-                for take in range(m + 1):
-                    extended.append((b0 + take * part[0], c0 + take * part[1],
-                                     l0 + take, mult * choose(m, take)))
-            subsets = extended
-        for b0, c0, l0, mult in subsets:
-            inside_top = b0 - l0
-            outside_top = n - partition.length + l0 - b0
-            if inside_top < 0 or outside_top < 0:
-                continue
-            for d in range(0, min(e, inside_top) + 1):
-                inside = choose(inside_top, d)
-                contribution = base * mult * inside
-                for a in range(max(0, e - d - outside_top), e - d + 1):
-                    outside = choose(outside_top, e - a - d)
-                    sign = -1 if (e - a) & 1 else 1
-                    key = (a, b0, c0, d)
-                    grid[key] = grid.get(key, 0) + sign * contribution * outside
+        base = -count if (n - partition.length) & 1 else count
+        for stats, mult in submultiset_stats(partition, radix).items():
+            key = (partition.length, stats)
+            buckets[key] = buckets.get(key, 0) + base * mult
+    grid: dict[tuple[int, int, int, int], int] = {}
+    for (length, stats), weight in buckets.items():
+        l0, b0, c0 = unpack(stats, radix, 3)
+        inside_top = b0 - l0
+        outside_top = n - length + l0 - b0
+        if not weight or inside_top < 0 or outside_top < 0:
+            continue
+        for d in range(0, min(e, inside_top) + 1):
+            contribution = weight * math.comb(inside_top, d)
+            for a in range(max(0, e - d - outside_top), e - d + 1):
+                term = contribution * math.comb(outside_top, e - a - d)
+                key = (a, b0, c0, d)
+                grid[key] = grid.get(key, 0) + (-term if (e - a) & 1 else term)
     terms: dict[tuple[int, ...], int] = {}
     total = 0
     for key in sorted(grid):

@@ -1,7 +1,8 @@
 """Shared fixtures: the weight-swapped path pair, a deterministic graph
 corpus, weight patterns for exhaustive tree sweeps, Hopf-axiom checkers
 used by both the unit and acceptance suites, and definitional oracles
-for the bucketed Hopf evaluations."""
+for the forest dynamic programs, the bucketed Hopf evaluations and the
+bucketed explicit recovery route."""
 
 from __future__ import annotations
 
@@ -9,10 +10,11 @@ import random
 
 import pytest
 
-from chromac import (LaurentPolynomial, MacMahonElement, TensorElement,
-                     VectorPartition, WeightedGraph, antipode, convolve,
-                     coproduct, counterexample_pair, counting_functional,
-                     cycle_graph, egdp_variables, path_graph, star_graph)
+from chromac import (LaurentPolynomial, MacMahonElement, NotApplicableError,
+                     TensorElement, VectorPartition, WeightedGraph, antipode,
+                     choose, component_type, convolve, coproduct,
+                     counterexample_pair, counting_functional, cycle_graph,
+                     egdp_variables, ext_int_counts, path_graph, star_graph)
 from chromac.hopf import counting_variables
 
 
@@ -171,3 +173,100 @@ def counting_image_by_functional(element: MacMahonElement) -> LaurentPolynomial:
     u = LaurentPolynomial.variable(names, "u")
     vs = [LaurentPolynomial.variable(names, name) for name in names[2:]]
     return counting_functional(t, u, vs)(element)
+
+
+# ---------------------------------------------------------------------------
+# Definitional oracles for the forest dynamic programs
+
+
+def _edge_subsets(g: WeightedGraph):
+    for mask in range(1 << g.edge_count):
+        yield [edge for i, edge in enumerate(g.edges) if mask >> i & 1]
+
+
+def cmf_by_edge_subsets(g: WeightedGraph) -> MacMahonElement:
+    """The CMF by definition: (-1)^|S| times the component type of (V, S),
+    summed over all edge subsets S."""
+    terms: dict[VectorPartition, int] = {}
+    for subset in _edge_subsets(g):
+        key = component_type(g, subset)
+        terms[key] = terms.get(key, 0) + (-1) ** len(subset)
+    return MacMahonElement(g.r + 1, terms)
+
+
+def beta_by_edge_subsets(g: WeightedGraph) -> dict[VectorPartition, int]:
+    """Number of edge subsets S with each component type of (V, S)."""
+    table: dict[VectorPartition, int] = {}
+    for subset in _edge_subsets(g):
+        key = component_type(g, subset)
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+def egdp_by_vertex_subsets(g: WeightedGraph) -> LaurentPolynomial:
+    """The EGDP by definition: w^ext x^|A| y^wt z^int over all vertex
+    subsets A."""
+    terms: dict[tuple[int, ...], int] = {}
+    for mask in range(1 << g.n):
+        chosen = [v for v in range(g.n) if mask >> v & 1]
+        external, internal = ext_int_counts(g, chosen)
+        weight = [sum(g.weights[v][i] for v in chosen) for i in range(g.r)]
+        key = (external, len(chosen), *weight, internal)
+        terms[key] = terms.get(key, 0) + 1
+    return LaurentPolynomial(egdp_variables(g.r), terms)
+
+
+# ---------------------------------------------------------------------------
+# Definitional oracle for the bucketed explicit recovery route
+
+
+def recover_egdp_explicit_per_type(table: dict[VectorPartition, int], n: int,
+                                   total_weight: int, e: int) -> LaurentPolynomial:
+    """recover_egdp_explicit type by type: every sub-multiset of every
+    type expands its own binomials into the grid."""
+    grid: dict[tuple[int, int, int, int], int] = {}
+    for partition, count in table.items():
+        if partition.width != 2:
+            raise NotApplicableError("the explicit route requires scalar weights (width 2 types)")
+        if partition.grade != (n, total_weight):
+            raise ValueError(f"type {partition} does not have multidegree ({n},{total_weight})")
+        type_sign = -1 if (n - partition.length) & 1 else 1
+        base = count * type_sign
+        # sub-multisets of the parts, with the product of per-part binomials
+        subsets: list[tuple[int, int, int, int]] = [(0, 0, 0, 1)]  # (b, c, length, multiplicity)
+        for part, m in partition.multiplicities().items():
+            extended = []
+            for b0, c0, l0, mult in subsets:
+                for take in range(m + 1):
+                    extended.append((b0 + take * part[0], c0 + take * part[1],
+                                     l0 + take, mult * choose(m, take)))
+            subsets = extended
+        for b0, c0, l0, mult in subsets:
+            inside_top = b0 - l0
+            outside_top = n - partition.length + l0 - b0
+            if inside_top < 0 or outside_top < 0:
+                continue
+            for d in range(0, min(e, inside_top) + 1):
+                inside = choose(inside_top, d)
+                contribution = base * mult * inside
+                for a in range(max(0, e - d - outside_top), e - d + 1):
+                    outside = choose(outside_top, e - a - d)
+                    sign = -1 if (e - a) & 1 else 1
+                    key = (a, b0, c0, d)
+                    grid[key] = grid.get(key, 0) + sign * contribution * outside
+    terms: dict[tuple[int, ...], int] = {}
+    total = 0
+    for key in sorted(grid):
+        value = grid[key]
+        if value < 0:
+            a, b0, c0, d = key
+            raise ValueError(f"negative reconstructed coefficient {value} at "
+                             f"(ext,size,weight,internal)=({a},{b0},{c0},{d}); "
+                             "the table is not a forest subset-type table for these parameters")
+        if value:
+            terms[key] = value
+            total += value
+    if total != 2 ** n:
+        raise ValueError(f"reconstructed coefficients sum to {total}, expected 2^{n}; "
+                         "the table is not a forest subset-type table for these parameters")
+    return LaurentPolynomial(("w", "x", "y", "z"), terms)

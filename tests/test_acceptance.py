@@ -28,8 +28,9 @@ from chromac import (LaurentPolynomial, MacMahonElement, TensorElement,
                      star_family, symbolic_counting_image, tensor_product,
                      transition_matrix, truncation_variables)
 
-from conftest import (antipode_convolution, coproduct_respects_product,
-                      counit, double_coproduct_left, double_coproduct_right,
+from conftest import (antipode_convolution, beta_by_edge_subsets,
+                      coproduct_respects_product, counit,
+                      double_coproduct_left, double_coproduct_right,
                       random_element, weight_patterns)
 
 
@@ -102,6 +103,7 @@ def test_acceptance_3_forest_expansion_identities():
         for g in _tree_suite(6, 3, exhaustive_n_max=4):
             element = cmf(g)
             table = beta_table(g)
+            assert table == beta_by_edge_subsets(g), g
             n, e = g.n, g.edge_count
             assert set(element.terms) == set(table)
             by_length: Counter = Counter()
@@ -236,3 +238,16 @@ def test_acceptance_9_counting_functional(corpus):
                     check(WeightedGraph(n, weights, edges, r=2))
         with pytest.raises(ValueError, match="monomial"):
             recover_stats(cmf(cycle_graph([1, 1, 1, 1])))
+
+
+def test_acceptance_10_recovery_at_scale():
+    with report(10, "EGDP recovery of forests with n = 14-20", bound=20.0):
+        rng = random.Random(2026)
+        for n in range(14, 21):
+            g = random_forest(n, max_weight=3, seed=rng.randrange(2 ** 32))
+            expected = egdp(g)
+            assert recover_egdp_hopf(cmf(g)) == expected, g
+            if n <= 16:
+                table = beta_table(g)
+                assert recover_egdp_explicit(
+                    table, g.n, g.total_weight[0], g.edge_count) == expected, g

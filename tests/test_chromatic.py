@@ -9,11 +9,13 @@ import pytest
 
 from chromac import (CapExceededError, LaurentPolynomial, MacMahonElement,
                      NotApplicableError, VectorPartition, WeightedGraph,
-                     beta_table, cmf, cmf_by_enumeration, cycle_graph, egdp,
-                     egdp_variables, path_graph, single_vertex,
+                     beta_table, chromatic, cmf, cmf_by_enumeration,
+                     cycle_graph, disjoint_union, egdp, egdp_variables,
+                     path_graph, random_forest, single_vertex,
                      specialize_csf, specialize_egdp, star_graph)
 
-from conftest import random_simple_graph
+from conftest import (beta_by_edge_subsets, cmf_by_edge_subsets,
+                      egdp_by_vertex_subsets, random_simple_graph)
 
 
 def vp(*parts):
@@ -92,6 +94,66 @@ def test_beta_table_matches_cmf_signs(t1):
 def test_beta_table_rejects_cycles():
     with pytest.raises(NotApplicableError, match="cycle"):
         beta_table(cycle_graph([1, 1, 1]))
+
+
+def test_beta_table_respects_edge_cap(t1):
+    with pytest.raises(CapExceededError, match="4 edges exceeds the cap of 3"):
+        beta_table(t1, max_edges=3)
+
+
+# ---------------------------------------------------------------------------
+# Forest dynamic programs against the subset definitions
+
+
+def _oracle_forests() -> list[WeightedGraph]:
+    """Seeded random forests with r = 1, 2, 3 and n <= 12, plus the empty
+    graph, single vertices, isolated vertices and several trees."""
+    graphs = [WeightedGraph(0, (), (), r) for r in (1, 2, 3)]
+    graphs += [single_vertex(w) for w in (1, (2, 1), (1, 3, 2))]
+    graphs.append(WeightedGraph(4, ((1,), (2,), (1,), (3,)), ()))
+    graphs.append(disjoint_union(disjoint_union(path_graph([1, 2, 1]), star_graph(2, [1, 1, 3])),
+                                 single_vertex(2)))
+    rng = random.Random(4242)
+    for r in (1, 2, 3):
+        for _ in range(12):
+            graphs.append(random_forest(rng.randint(2, 12), max_weight=rng.choice([1, 2, 4]),
+                                        r=r, seed=rng.randrange(2 ** 32)))
+    return graphs
+
+
+def test_forest_dp_matches_subset_oracles():
+    for g in _oracle_forests():
+        assert g.is_forest()
+        assert cmf(g) == cmf_by_edge_subsets(g), g
+        assert beta_table(g) == beta_by_edge_subsets(g), g
+        assert egdp(g) == egdp_by_vertex_subsets(g), g
+
+
+def test_cyclic_sweeps_match_subset_oracles():
+    rng = random.Random(61)
+    graphs = [cycle_graph([1, 2, 1, 3]), cycle_graph([(1, 2), (2, 1), (1, 1)])]
+    graphs += [random_simple_graph(rng, rng.randint(3, 6), r=rng.randint(1, 2), density=0.6)
+               for _ in range(12)]
+    for g in graphs:
+        assert cmf(g) == cmf_by_edge_subsets(g), g
+        assert egdp(g) == egdp_by_vertex_subsets(g), g
+
+
+def test_caps_raise_before_the_forest_dp(monkeypatch):
+    # the dynamic program would be instant here; the caps still hold
+    def no_work(g):
+        raise AssertionError("work started before the cap check")
+
+    monkeypatch.setattr(chromatic, "_rooted_forest", no_work)
+    long_path = path_graph([1] * 32)
+    with pytest.raises(CapExceededError, match="^31 edges exceeds the cap of 30$"):
+        cmf(long_path)
+    with pytest.raises(CapExceededError, match="^31 edges exceeds the cap of 30$"):
+        beta_table(long_path)
+    with pytest.raises(CapExceededError, match="^32 vertices exceeds the cap of 25$"):
+        egdp(long_path)
+    with pytest.raises(NotApplicableError, match="cycle"):
+        beta_table(cycle_graph([1] * 40))  # the forest check comes first
 
 
 # ---------------------------------------------------------------------------

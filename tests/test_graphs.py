@@ -258,6 +258,23 @@ def test_parse_errors():
             parse_graph(text)
 
 
+def test_parse_error_messages_stay_short():
+    with pytest.raises(GraphFormatError) as missing:
+        parse_graph("n 3000000\nweight 5 1\n")
+    message = str(missing.value)
+    assert len(message) < 1024
+    assert "missing weight for 2999999 of 3000000 vertices" in message
+    assert "[0, 1, 2, 3, 4, 6, 7, 8, 9, 10] ..." in message
+    extra = "".join(f"weight {v} 1\n" for v in range(1, 5000))
+    with pytest.raises(GraphFormatError) as out_of_range:
+        parse_graph("n 1\nweight 0 1\n" + extra)
+    message = str(out_of_range.value)
+    assert len(message) < 1024
+    assert "weight for 4999 out-of-range vertices: [1, 2" in message
+    with pytest.raises(GraphFormatError, match=r"missing weight for 1 of 2 vertices: \[1\]$"):
+        parse_graph("n 2\nweight 0 1\n")
+
+
 def test_shipped_graph_files_match_builders():
     data = Path(__file__).resolve().parent.parent / "data"
     t1, t2 = counterexample_pair()

@@ -14,7 +14,7 @@ from chromac import (NotApplicableError, VectorPartition, all_labeled_trees,
                      signed_binomial_sum, signed_binomial_sum_literal,
                      single_vertex, star_graph)
 
-from conftest import weight_patterns
+from conftest import recover_egdp_explicit_per_type, weight_patterns
 
 
 def vp(*parts):
@@ -175,3 +175,36 @@ def test_explicit_route_flags_corrupted_tables():
         recover_egdp_explicit(inflated, 2, 3, 1)
     with pytest.raises(ValueError, match=r"ext,size,weight,internal"):
         recover_egdp_explicit({vp((2, 3)): -1}, 2, 3, 1)
+
+
+def _outcome(route, *args):
+    """The route's value, or the type and message of what it raised."""
+    try:
+        return route(*args)
+    except ValueError as exc:  # NotApplicableError is a ValueError
+        return type(exc), str(exc)
+
+
+def test_bucketed_explicit_route_matches_per_type_oracle():
+    rng = random.Random(113)
+    cases = []
+    for _ in range(40):
+        g = random_forest(rng.randint(0, 9), max_weight=rng.choice([1, 3, 5]),
+                          seed=rng.randrange(2 ** 32))
+        table = beta_table(g)
+        n, w, e = g.n, g.total_weight[0], g.edge_count
+        bumped = dict(table)
+        key = rng.choice(sorted(table, key=VectorPartition.sort_key))
+        bumped[key] += rng.choice([-2, -1, 1, 3])
+        cases += [(table, n, w, e), (bumped, n, w, e),
+                  (table, n, w + 1, e), (table, n, w, e + 1), (table, n, w, max(e - 1, 0))]
+    wide = VectorPartition.of([(1, 1, 1)], width=3)
+    cases += [({vp((1, 1)): 1, wide: 1}, 1, 1, 0), ({wide: 1, vp((2, 1)): 1}, 1, 1, 0),
+              ({vp((1, 2)): 1, vp((2, 3)): 1}, 1, 2, 0), ({}, 0, 0, 0), ({}, 2, 3, 1),
+              ({vp((2, 3)): -1}, 2, 3, 1), ({vp((1, 1), (1, 2)): 1, vp((2, 3)): 1}, 2, 3, 1)]
+    raised = 0
+    for args in cases:
+        expected = _outcome(recover_egdp_explicit_per_type, *args)
+        assert _outcome(recover_egdp_explicit, *args) == expected, args
+        raised += isinstance(expected, tuple)
+    assert raised >= len(cases) // 2
