@@ -20,7 +20,6 @@ from .graphs import (Component, GraphFormatError, WeightedGraph,
 from .hopf import (ForestStats, LinearFunctional, antipode, convolve,
                    coproduct, counting_functional, egdp_convolution,
                    recover_egdp_hopf, recover_stats, symbolic_counting_image)
-from .recovery import (recover_egdp_explicit, recovery_coefficient,
-                       signed_binomial_sum, signed_binomial_sum_literal)
+from .recovery import recover_egdp_explicit
 
 __version__ = "0.1.0"

@@ -477,34 +477,38 @@ class MacMahonElement:
 
     def truncate(self, colors: int) -> LaurentPolynomial:
         """Expand in the k-color variables: each part contributes a sum of
-        one monomial per color, and a basis symbol multiplies its parts."""
+        one monomial per color, and a basis symbol multiplies its parts.
+
+        Exponent vectors are packed into integers, one digit group of
+        width coordinates per color, in a radix above every grade
+        coordinate of the element, which no exponent of a product of its
+        parts can reach; so multiplying monomials adds their codes.  The
+        k codes of a distinct part are computed once, and the result is
+        unpacked once at the end."""
         if colors < 0:
             raise ValueError("number of colors must be >= 0")
         names = truncation_variables(self.width, colors)
-        block = self.width  # variables per color: x_j plus the weight slots
-        part_cache: dict[Vector, LaurentPolynomial] = {}
-
-        def part_poly(part: Vector) -> LaurentPolynomial:
-            poly = part_cache.get(part)
-            if poly is None:
-                terms: dict[Exponents, int] = {}
-                for j in range(colors):
-                    exps = [0] * len(names)
-                    exps[j * block] = part[0]
-                    for i in range(1, self.width):
-                        exps[j * block + i] = part[i]
-                    terms[tuple(exps)] = 1
-                poly = LaurentPolynomial(names, terms)
-                part_cache[part] = poly
-            return poly
-
-        total = LaurentPolynomial.zero(names)
+        radix = 1 + max((c for p in self.terms for c in p.grade), default=0)
+        color_step = radix ** self.width
+        part_codes: dict[Vector, list[int]] = {}
+        total: dict[int, int] = {}
         for partition, coeff in self.terms.items():
-            product = LaurentPolynomial.constant(names, coeff)
+            product = {0: coeff}
             for part in partition.parts:
-                product = product * part_poly(part)
-            total = total + product
-        return total
+                codes = part_codes.get(part)
+                if codes is None:
+                    code = pack(part, radix)
+                    codes = part_codes[part] = [code * color_step ** (colors - 1 - j)
+                                                for j in range(colors)]
+                expanded: dict[int, int] = {}
+                for key, count in product.items():
+                    for code in codes:
+                        expanded[key + code] = expanded.get(key + code, 0) + count
+                product = expanded
+            for key, count in product.items():
+                total[key] = total.get(key, 0) + count
+        return LaurentPolynomial(names, {unpack(key, radix, len(names)): count
+                                         for key, count in total.items()})
 
     def to_text(self) -> str:
         if not self.terms:

@@ -14,12 +14,15 @@ internal edge count of A as a monomial w^ext x^|A| y^weight z^int.
 On a forest both come from dynamic programs over each rooted tree, which
 merge every child into its parent, so their cost follows the number of
 distinct partial results rather than 2^e edge or 2^n vertex subsets; a
-forest's subset-type table (beta) is read off its CMF.  A graph with a
-cycle is expanded over all edge subsets and all vertex subsets.
+forest's subset-type table (beta) is read off its CMF.  The CMF of a
+graph with a cycle comes from a frontier dynamic program that places
+the vertices one at a time and keeps, per state, the components that
+are still open; its EGDP is summed over all vertex subsets.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from .algebra import (LaurentPolynomial, MacMahonElement, VectorPartition, pack,
@@ -32,59 +35,20 @@ DEFAULT_MAX_VERTICES = 25
 DEFAULT_MAX_COLORINGS = 10 ** 7
 
 
-def _subset_type(g: WeightedGraph, mask: int) -> VectorPartition:
-    """Component type of (V, S) for the edge subset encoded by mask."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    m = mask
-    while m:
-        low = m & -m
-        u, v = g.edges[low.bit_length() - 1]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if rv < ru:
-                ru, rv = rv, ru
-            parent[rv] = ru
-        m ^= low
-    agg: dict[int, list[int]] = {}
-    for v in range(g.n):
-        root = find(v)
-        entry = agg.get(root)
-        if entry is None:
-            agg[root] = [1, *g.weights[v]]
-        else:
-            entry[0] += 1
-            for i, c in enumerate(g.weights[v]):
-                entry[i + 1] += c
-    parts = tuple(sorted((tuple(e) for e in agg.values()), reverse=True))
-    return VectorPartition(g.r + 1, parts)
-
-
 def cmf(g: WeightedGraph, max_edges: int = DEFAULT_MAX_EDGES) -> MacMahonElement:
     """Chromatic MacMahon symmetric function.
 
-    A forest's comes from its edge-subset counts per component type
-    (`_forest_type_counts`), signed by the parity of the subset size,
-    which the type determines there: n - length.  Any other graph is
-    expanded over all 2^e edge subsets, with cancellation.
+    The coefficient of a component type has the sign (-1)^(n - length)
+    (on a forest every edge subset of that type has n - length edges; in
+    general by Stanley's broken-circuit theorem), so the dynamic programs
+    count without signs: `_forest_type_counts` on a forest,
+    `_frontier_type_counts` on any other graph.
     """
     if g.edge_count > max_edges:
         raise CapExceededError(f"{g.edge_count} edges exceeds the cap of {max_edges}")
-    if g.is_forest():
-        terms = {partition: -count if (g.n - partition.length) & 1 else count
-                 for partition, count in _forest_type_counts(g).items()}
-        return MacMahonElement(g.r + 1, terms)
-    terms = {}
-    for mask in range(1 << g.edge_count):
-        key = _subset_type(g, mask)
-        sign = -1 if mask.bit_count() & 1 else 1
-        terms[key] = terms.get(key, 0) + sign
+    counts = _forest_type_counts(g) if g.is_forest() else _frontier_type_counts(g)
+    terms = {partition: -count if (g.n - partition.length) & 1 else count
+             for partition, count in counts.items()}
     return MacMahonElement(g.r + 1, terms)
 
 
@@ -164,10 +128,133 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
                 merged[state + offer] = merged.get(state + offer, 0) + count * times
         states[parent] = merged
         child.clear()
+    return _closed_types(states[g.n], shifts, low, digit, radix, width)
+
+
+def _placement_order(g: WeightedGraph, adjacency: list[set[int]]) -> list[int]:
+    """All vertices, each next one the unplaced vertex with the most placed
+    neighbours, ties to the smaller index, so that a frontier dynamic
+    program closes components early and keeps its frontier narrow."""
+    placed_neighbours = [0] * g.n
+    placed = [False] * g.n
+    heap = [(0, v) for v in range(g.n)]  # sorted, hence a heap
+    order: list[int] = []
+    while heap:
+        minus_count, v = heapq.heappop(heap)
+        if placed[v] or -minus_count != placed_neighbours[v]:
+            continue  # an entry superseded by a later push
+        placed[v] = True
+        order.append(v)
+        for u in adjacency[v]:
+            if not placed[u]:
+                placed_neighbours[u] += 1
+                heapq.heappush(heap, (-placed_neighbours[u], u))
+    return order
+
+
+def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
+    """Absolute value of the CMF coefficient of every component type, for
+    any graph, by a dynamic program that places the vertices one at a time.
+
+    The frontier is the placed vertices that still have an unplaced
+    neighbour.  A state has three parts: the closed components, as the
+    multiset digit integer of `_forest_type_counts`; the open component
+    of each frontier vertex, labelled by first occurrence; and the packed
+    code (size, weight...) of each open component.  Placing v, each edge
+    to a placed neighbour is left out or taken, which flips the sign.
+    Taking an edge whose ends are already joined leaves the components as
+    they are, so the two choices cancel.  What survives joins v to any
+    set of distinct components that it touches, each joined component
+    flipping the sign once however many edges reach it; so a state's
+    sign is (-1)^(placed vertices - components), its count stays positive
+    and `cmf` signs it.  A vertex leaves the frontier once all its
+    neighbours are placed, and a component with no frontier vertex left
+    closes.
+    """
+    adjacency: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    order = _placement_order(g, adjacency)
+    step_of = [0] * g.n
+    for step, v in enumerate(order):
+        step_of[v] = step
+    last = [max((step_of[u] for u in adjacency[v]), default=-1) for v in range(g.n)]
+    radix = max(g.n, *g.total_weight) + 1
+    width = g.r + 1
+    digit = g.n.bit_length()
+    shifts: dict[int, int] = {}  # code of a closed component -> shift of its digit
+    frontier: list[int] = []
+    states: dict[tuple, int] = {(0, (), ()): 1}  # (closed, labels, codes) -> count
+    for step, v in enumerate(order):
+        touching = [i for i, u in enumerate(frontier) if u in adjacency[v]]
+        staying = [i for i, u in enumerate(frontier) if last[u] > step]
+        if last[v] > step:
+            staying.append(len(frontier))  # v itself, at the end of the labels
+        code_v = pack((1, *g.weights[v]), radix)
+        moves: dict[tuple[int, ...], list[_Move]] = {}
+        placed: dict[tuple, int] = {}
+        for (closed, labels, codes), count in states.items():
+            plan = moves.get(labels)
+            if plan is None:
+                plan = moves[labels] = _frontier_moves(labels, touching, staying)
+            for joins, sources, new_labels, shut_labels, shut_joined in plan:
+                joined = code_v
+                for label in joins:
+                    joined += codes[label]
+                shut = closed
+                for label in shut_labels:
+                    shut += 1 << shifts.setdefault(codes[label], digit * len(shifts))
+                if shut_joined:
+                    shut += 1 << shifts.setdefault(joined, digit * len(shifts))
+                key = (shut, new_labels,
+                       tuple([joined if label < 0 else codes[label] for label in sources]))
+                placed[key] = placed.get(key, 0) + count
+        states = placed
+        frontier.append(v)
+        frontier = [frontier[i] for i in staying]
+    return _closed_types({closed: count for (closed, _, _), count in states.items()},
+                         shifts, 0, digit, radix, width)
+
+
+# (labels joined to the new vertex, old label of each new label or -1 for
+# the new vertex's component, new labels, old labels that close, whether
+# the new vertex's component closes)
+_Move = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]
+
+
+def _frontier_moves(labels: tuple[int, ...], touching: list[int],
+                    staying: list[int]) -> list[_Move]:
+    """Every way to place a vertex after frontier states with these labels:
+    one move per set of distinct components joined to it.  `touching`
+    holds the positions of its neighbours among the labels, `staying` the
+    positions that stay on the frontier, the new vertex at len(labels)."""
+    touched = sorted({labels[i] for i in touching})
+    moves = []
+    for choice in range(1 << len(touched)):
+        joins = tuple(label for j, label in enumerate(touched) if choice >> j & 1)
+        sources: list[int] = []
+        new_labels = []
+        for i in staying:
+            label = -1 if i == len(labels) or labels[i] in joins else labels[i]
+            if label not in sources:
+                sources.append(label)
+            new_labels.append(sources.index(label))
+        shut = tuple(label for label in range(len(set(labels)))
+                     if label not in joins and label not in sources)
+        moves.append((joins, tuple(sources), tuple(new_labels), shut, -1 not in sources))
+    return moves
+
+
+def _closed_types(states: dict[int, int], shifts: dict[int, int], low: int, digit: int,
+                  radix: int, width: int) -> dict[VectorPartition, int]:
+    """Component types with their counts, from states whose closed
+    components are one multiplicity digit per distinct component code, at
+    the shifts given, above `low` bits that are zero."""
     part_at = {shift: unpack(code, radix, width) for code, shift in shifts.items()}
     mask = (1 << digit) - 1
     counts = {}
-    for state, count in states[g.n].items():
+    for state, count in states.items():
         parts: list[tuple[int, ...]] = []
         while state:
             shift = low + ((state & -state).bit_length() - 1 - low) // digit * digit

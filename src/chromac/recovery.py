@@ -5,75 +5,29 @@ vertex subsets A with ext(A) = a, |A| = b, wt(A) = c, int(A) = d is a
 signed binomial sum over the subset-type table: each type Lambda
 contributes (-1)^(n - len(Lambda)) times a coefficient that sums over
 sub-partitions of multidegree (b, c).  The engine of the cancellation
-is the identity  sum_k C(P, k) (-1)^(k + q) C(k, q) = [P == q],
-implemented below both literally and as the indicator it equals.
+is the identity  sum_k C(P, k) (-1)^(k + q) C(k, q) = [P == q]; the
+tests check it term by term and evaluate the per-type coefficient
+pointwise as oracles for the bucketed assembly below.
 """
 
 from __future__ import annotations
 
 import math
 
-from .algebra import (LaurentPolynomial, VectorPartition, choose,
-                      partition_binomial, partitions_of, submultiset_stats,
-                      unpack)
+from .algebra import LaurentPolynomial, VectorPartition, submultiset_stats, unpack
 from .errors import NotApplicableError
-
-
-def signed_binomial_sum_literal(set_size: int, q: int) -> int:
-    """sum over k of C(set_size, k) (-1)^(k+q) C(k, q), term by term."""
-    if set_size < 0:
-        raise ValueError("set size must be >= 0")
-    total = 0
-    for k in range(set_size + 1):
-        sign = -1 if (k + q) & 1 else 1
-        total += sign * choose(set_size, k) * choose(k, q)
-    return total
-
-
-def signed_binomial_sum(set_size: int, q: int) -> int:
-    """Closed form of the literal sum: 1 if set_size == q else 0."""
-    if set_size < 0:
-        raise ValueError("set size must be >= 0")
-    return 1 if set_size == q else 0
-
-
-def recovery_coefficient(partition: VectorPartition, a: int, b: int, c: int, d: int,
-                         *, n: int, e: int) -> int:
-    """Contribution of one subset type to the count of vertex subsets with
-    statistics (ext, size, weight, internal) = (a, b, c, d)."""
-    if partition.width != 2:
-        raise NotApplicableError("the explicit route requires scalar weights (width 2 types)")
-    if min(a, b, c, d) < 0:
-        raise ValueError("statistics must be >= 0")
-    if b == 0 and c == 0:
-        candidates = [VectorPartition(2, ())]
-    else:
-        candidates = partitions_of((b, c), positive_parts=True)
-    sign = -1 if (e - a) & 1 else 1
-    total = 0
-    for omega in candidates:
-        multiplicity = partition_binomial(partition, omega)
-        if multiplicity == 0:
-            continue
-        inside = choose(b - omega.length, d)
-        if inside == 0:
-            continue
-        outside_top = n - partition.length + omega.length - b
-        if outside_top < 0:
-            continue  # cannot happen when partition is a subset type
-        total += multiplicity * inside * choose(outside_top, e - a - d)
-    return sign * total
 
 
 def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
                           total_weight: int, e: int) -> LaurentPolynomial:
     """Assemble the EGDP of a forest from its subset-type table.
 
-    Equivalent to summing count * (-1)^(n - length) * recovery_coefficient
-    over the table for every statistics tuple.  A sub-multiset of a type
-    with size b, weight c and length l enters only through (b, c, l) and
-    the type's length, so the signed counts are summed per such bucket
-    over all types, and each bucket's binomials are expanded once.
+    Equivalent to summing count * (-1)^(n - length) times each type's
+    pointwise coefficient over the table for every statistics tuple.  A
+    sub-multiset of a type with size b, weight c and length l enters only
+    through (b, c, l) and the type's length, so the signed counts are
+    summed per such bucket over all types, and each bucket's binomials
+    are expanded once.
     """
     radix = 1 + max((max(*p.grade, p.length) for p in table), default=0)
     buckets: dict[tuple[int, int], int] = {}  # (type length, packed (l, b, c))

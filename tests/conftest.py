@@ -1,11 +1,12 @@
 """Shared fixtures: the weight-swapped path pair, a deterministic graph
 corpus, weight patterns for exhaustive tree sweeps, Hopf-axiom checkers
 used by both the unit and acceptance suites, and definitional oracles
-for the forest dynamic programs, the bucketed Hopf evaluations and the
-bucketed explicit recovery route."""
+for the CMF and EGDP dynamic programs, the packed truncation, the
+bucketed Hopf evaluations and the explicit recovery route."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -14,18 +15,27 @@ from chromac import (LaurentPolynomial, MacMahonElement, NotApplicableError,
                      TensorElement, VectorPartition, WeightedGraph, antipode,
                      choose, component_type, convolve, coproduct,
                      counterexample_pair, counting_functional, cycle_graph,
-                     egdp_variables, ext_int_counts, path_graph, star_graph)
+                     egdp_variables, ext_int_counts, partition_binomial,
+                     partitions_of, path_graph, star_graph,
+                     truncation_variables)
 from chromac.hopf import counting_variables
 
 
-acceptance_lines: list[str] = []
+# one {number, label, verdict, seconds} record per acceptance criterion run
+acceptance_results: list[dict] = []
+
+
+def acceptance_line(result: dict) -> str:
+    return (f"ACCEPTANCE {result['number']} {result['label']}: {result['verdict']} "
+            f"({result['seconds']:.2f}s)")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if acceptance_lines:
+    if acceptance_results:
         terminalreporter.section("acceptance criteria")
-        for line in acceptance_lines:
-            terminalreporter.write_line(line)
+        for result in acceptance_results:
+            terminalreporter.write_line(acceptance_line(result))
+        terminalreporter.write_line("ACCEPTANCE_JSON " + json.dumps(acceptance_results))
 
 
 @pytest.fixture(scope="session")
@@ -176,7 +186,43 @@ def counting_image_by_functional(element: MacMahonElement) -> LaurentPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Definitional oracles for the forest dynamic programs
+# Definitional oracle for the packed truncation
+
+
+def truncate_by_products(element: MacMahonElement, colors: int) -> LaurentPolynomial:
+    """MacMahonElement.truncate by definition: every basis symbol is the
+    product of its parts' Laurent polynomials, one monomial per color."""
+    if colors < 0:
+        raise ValueError("number of colors must be >= 0")
+    names = truncation_variables(element.width, colors)
+    block = element.width  # variables per color: x_j plus the weight slots
+    part_cache: dict[tuple[int, ...], LaurentPolynomial] = {}
+
+    def part_poly(part: tuple[int, ...]) -> LaurentPolynomial:
+        poly = part_cache.get(part)
+        if poly is None:
+            terms: dict[tuple[int, ...], int] = {}
+            for j in range(colors):
+                exps = [0] * len(names)
+                exps[j * block] = part[0]
+                for i in range(1, element.width):
+                    exps[j * block + i] = part[i]
+                terms[tuple(exps)] = 1
+            poly = LaurentPolynomial(names, terms)
+            part_cache[part] = poly
+        return poly
+
+    total = LaurentPolynomial.zero(names)
+    for partition, coeff in element.terms.items():
+        product = LaurentPolynomial.constant(names, coeff)
+        for part in partition.parts:
+            product = product * part_poly(part)
+        total = total + product
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Definitional oracles for the CMF and EGDP dynamic programs
 
 
 def _edge_subsets(g: WeightedGraph):
@@ -217,7 +263,53 @@ def egdp_by_vertex_subsets(g: WeightedGraph) -> LaurentPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Definitional oracle for the bucketed explicit recovery route
+# Pointwise oracles and the per-type oracle for the explicit recovery route
+
+
+def signed_binomial_sum_literal(set_size: int, q: int) -> int:
+    """sum over k of C(set_size, k) (-1)^(k+q) C(k, q), term by term."""
+    if set_size < 0:
+        raise ValueError("set size must be >= 0")
+    total = 0
+    for k in range(set_size + 1):
+        sign = -1 if (k + q) & 1 else 1
+        total += sign * choose(set_size, k) * choose(k, q)
+    return total
+
+
+def signed_binomial_sum(set_size: int, q: int) -> int:
+    """Closed form of the literal sum: 1 if set_size == q else 0."""
+    if set_size < 0:
+        raise ValueError("set size must be >= 0")
+    return 1 if set_size == q else 0
+
+
+def recovery_coefficient(partition: VectorPartition, a: int, b: int, c: int, d: int,
+                         *, n: int, e: int) -> int:
+    """Contribution of one subset type to the count of vertex subsets with
+    statistics (ext, size, weight, internal) = (a, b, c, d)."""
+    if partition.width != 2:
+        raise NotApplicableError("the explicit route requires scalar weights (width 2 types)")
+    if min(a, b, c, d) < 0:
+        raise ValueError("statistics must be >= 0")
+    if b == 0 and c == 0:
+        candidates = [VectorPartition(2, ())]
+    else:
+        candidates = partitions_of((b, c), positive_parts=True)
+    sign = -1 if (e - a) & 1 else 1
+    total = 0
+    for omega in candidates:
+        multiplicity = partition_binomial(partition, omega)
+        if multiplicity == 0:
+            continue
+        inside = choose(b - omega.length, d)
+        if inside == 0:
+            continue
+        outside_top = n - partition.length + omega.length - b
+        if outside_top < 0:
+            continue  # cannot happen when partition is a subset type
+        total += multiplicity * inside * choose(outside_top, e - a - d)
+    return sign * total
 
 
 def recover_egdp_explicit_per_type(table: dict[VectorPartition, int], n: int,

@@ -35,9 +35,10 @@ from conftest import (antipode_convolution, beta_by_edge_subsets,
 
 
 def _line(number: int, label: str, verdict: str, elapsed: float) -> None:
-    text = f"ACCEPTANCE {number} {label}: {verdict} ({elapsed:.2f}s)"
-    print(text)
-    conftest.acceptance_lines.append(text)
+    result = {"number": number, "label": label, "verdict": verdict,
+              "seconds": round(elapsed, 3)}
+    print(conftest.acceptance_line(result))
+    conftest.acceptance_results.append(result)
 
 
 @contextmanager

@@ -12,7 +12,7 @@ from chromac import (LaurentPolynomial, MacMahonElement, TensorElement,
                      VectorPartition, choose, partition_binomial,
                      partitions_of, tensor_product, truncation_variables)
 
-from conftest import random_element
+from conftest import random_element, truncate_by_products
 
 
 def vp(*parts: tuple[int, ...]) -> VectorPartition:
@@ -267,6 +267,32 @@ def test_truncate_is_a_ring_map():
         for k in (1, 2, 3):
             assert (a * b).truncate(k) == a.truncate(k) * b.truncate(k)
             assert (a + b).truncate(k) == a.truncate(k) + b.truncate(k)
+
+
+def test_truncate_matches_products():
+    rng = random.Random(23)
+    elements = [MacMahonElement.zero(2), MacMahonElement.one(2), MacMahonElement.one(4),
+                -3 * MacMahonElement.power_sum(vp((2, 1), (1, 3), (1, 3)))]
+    elements += [random_element(rng, width=rng.randint(2, 4), max_terms=4, max_coord=3)
+                 for _ in range(60)]
+    for element in elements:
+        for colors in range(5):
+            assert element.truncate(colors) == truncate_by_products(element, colors), element
+
+
+def test_truncate_errors_match_products():
+    width_one = MacMahonElement.power_sum(VectorPartition.of([(2,)]))
+    cases = [(MacMahonElement.power_sum(vp((1, 1))), -1, "number of colors must be >= 0"),
+             (MacMahonElement.zero(2), -2, "number of colors must be >= 0"),
+             (width_one, -1, "number of colors must be >= 0"),
+             (width_one, 2, "truncation needs width >= 2"),
+             (MacMahonElement.one(1), 0, "truncation needs width >= 2")]
+    for element, colors, message in cases:
+        with pytest.raises(ValueError, match=message) as packed:
+            element.truncate(colors)
+        with pytest.raises(ValueError) as by_products:
+            truncate_by_products(element, colors)
+        assert str(packed.value) == str(by_products.value)
 
 
 def test_truncation_variables_r2():

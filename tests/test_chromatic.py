@@ -11,8 +11,10 @@ from chromac import (CapExceededError, LaurentPolynomial, MacMahonElement,
                      NotApplicableError, VectorPartition, WeightedGraph,
                      beta_table, chromatic, cmf, cmf_by_enumeration,
                      cycle_graph, disjoint_union, egdp, egdp_variables,
-                     path_graph, random_forest, single_vertex,
-                     specialize_csf, specialize_egdp, star_graph)
+                     path_graph, random_forest, serialize_graph,
+                     single_vertex, specialize_csf, specialize_egdp,
+                     star_graph)
+from chromac.cli import main
 
 from conftest import (beta_by_edge_subsets, cmf_by_edge_subsets,
                       egdp_by_vertex_subsets, random_simple_graph)
@@ -127,6 +129,8 @@ def test_forest_dp_matches_subset_oracles():
         assert cmf(g) == cmf_by_edge_subsets(g), g
         assert beta_table(g) == beta_by_edge_subsets(g), g
         assert egdp(g) == egdp_by_vertex_subsets(g), g
+        # the frontier dynamic program handles forests too
+        assert chromatic._frontier_type_counts(g) == chromatic._forest_type_counts(g), g
 
 
 def test_cyclic_sweeps_match_subset_oracles():
@@ -137,6 +141,102 @@ def test_cyclic_sweeps_match_subset_oracles():
     for g in graphs:
         assert cmf(g) == cmf_by_edge_subsets(g), g
         assert egdp(g) == egdp_by_vertex_subsets(g), g
+
+
+def complete_graph(weights) -> WeightedGraph:
+    n = len(weights)
+    return WeightedGraph(n, tuple(weights), tuple((u, v) for u in range(n) for v in range(u + 1, n)),
+                         len(weights[0]))
+
+
+def petersen_graph(weights) -> WeightedGraph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return WeightedGraph(10, tuple(weights), tuple(outer + spokes + inner))
+
+
+def widest_frontier(g: WeightedGraph) -> int:
+    """Most placed vertices with an unplaced neighbour at once, in the
+    frontier dynamic program's placement order."""
+    adjacency = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    placed: set[int] = set()
+    widest = 0
+    for v in chromatic._placement_order(g, adjacency):
+        placed.add(v)
+        widest = max(widest, sum(1 for u in placed if adjacency[u] - placed))
+    return widest
+
+
+def _cyclic_oracle_graphs() -> list[WeightedGraph]:
+    """Seeded random graphs with a cycle (r = 1, 2, 3, n <= 9, at most 12
+    edges), K3-K6, a cycle next to a tree and an isolated vertex, and the
+    Petersen graph, whose placement order keeps five vertices open."""
+    rng = random.Random(5151)
+    graphs = []
+    for r in (1, 2, 3):
+        while len(graphs) < 8 * r:
+            g = random_simple_graph(rng, rng.randint(3, 9), r=r, max_weight=3,
+                                    density=rng.uniform(0.3, 0.7))
+            if not g.is_forest() and g.edge_count <= 12:
+                graphs.append(g)
+    graphs += [complete_graph([(i % 3 + 1,) for i in range(n)]) for n in (3, 4, 5, 6)]
+    graphs.append(complete_graph([(1, 2), (2, 1), (1, 1), (2, 2)]))
+    graphs.append(disjoint_union(disjoint_union(cycle_graph([2, 1, 1, 3]), star_graph(1, [2, 2])),
+                                 single_vertex(4)))
+    graphs.append(petersen_graph([i % 2 + 1 for i in range(10)]))
+    return graphs
+
+
+def test_frontier_dp_matches_edge_subsets():
+    graphs = _cyclic_oracle_graphs()
+    assert widest_frontier(graphs[-1]) >= 5
+    for g in graphs:
+        assert not g.is_forest()
+        assert cmf(g) == cmf_by_edge_subsets(g), g
+
+
+def test_cycle_csf_gives_the_chromatic_polynomial():
+    # p_lambda at k ones is k^len(lambda), so the CSF of the n-cycle
+    # evaluates to its chromatic polynomial (k-1)^n + (-1)^n (k-1)
+    for n in range(3, 21):
+        csf = specialize_csf(cmf(cycle_graph([i % 3 + 1 for i in range(n)])), "cardinality")
+        for k in (2, 3):
+            value = sum(c * k ** partition.length for partition, c in csf.terms.items())
+            assert value == (k - 1) ** n + (-1) ** n * (k - 1), (n, k)
+
+
+def test_two_color_truncation_of_a_16_vertex_20_edge_graph():
+    rng = random.Random(7)
+    side = [rng.randrange(2) for _ in range(16)]  # planted 2-coloring
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < 20:
+        u, v = rng.sample(range(16), 2)
+        if side[u] != side[v]:
+            edges.add((min(u, v), max(u, v)))
+    g = WeightedGraph(16, tuple((rng.randint(1, 3),) for _ in range(16)), tuple(sorted(edges)))
+    assert not g.is_forest()
+    truncated = cmf(g).truncate(2)
+    assert not truncated.is_zero()
+    assert truncated == cmf_by_enumeration(g, 2)
+
+
+def test_caps_raise_before_the_frontier_dp(monkeypatch, capsys, tmp_path):
+    def no_work(g):
+        raise AssertionError("work started before the cap check")
+
+    monkeypatch.setattr(chromatic, "_frontier_type_counts", no_work)
+    long_cycle = cycle_graph([1] * 31)
+    with pytest.raises(CapExceededError, match="^31 edges exceeds the cap of 30$"):
+        cmf(long_cycle)
+    path = tmp_path / "c31.graph"
+    path.write_text(serialize_graph(long_cycle))
+    assert main(["compute", str(path), "--invariant", "cmf"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: 31 edges exceeds the cap of 30\n")
 
 
 def test_caps_raise_before_the_forest_dp(monkeypatch):

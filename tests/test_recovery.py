@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from chromac import (NotApplicableError, VectorPartition, all_labeled_trees,
                      beta_table, egdp, path_graph, random_forest,
-                     recover_egdp_explicit, recovery_coefficient,
-                     signed_binomial_sum, signed_binomial_sum_literal,
-                     single_vertex, star_graph)
+                     recover_egdp_explicit, single_vertex, star_graph)
 
-from conftest import recover_egdp_explicit_per_type, weight_patterns
+from conftest import (recover_egdp_explicit_per_type, recovery_coefficient,
+                      signed_binomial_sum, signed_binomial_sum_literal,
+                      weight_patterns)
 
 
 def vp(*parts):
