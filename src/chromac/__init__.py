@@ -3,8 +3,7 @@ vertex-weighted graphs, their Hopf structure, and the recovery of the
 extended generalized degree polynomial of a forest from its CMF."""
 
 from .algebra import (LaurentPolynomial, MacMahonElement, TensorElement,
-                      VectorPartition, choose, partition_binomial,
-                      partitions_of, tensor_product, truncation_variables)
+                      VectorPartition, partitions_of, truncation_variables)
 from .bases import (family_graph, is_triangular_with_unit_diagonal,
                     matrix_to_text, realizable_partitions, star_family,
                     transition_matrix)
@@ -18,8 +17,8 @@ from .graphs import (Component, GraphFormatError, WeightedGraph,
                      path_graph, random_forest, serialize_graph,
                      single_vertex, star_graph, tree_from_pruefer)
 from .hopf import (ForestStats, LinearFunctional, antipode, convolve,
-                   coproduct, counting_functional, egdp_convolution,
-                   recover_egdp_hopf, recover_stats, symbolic_counting_image)
+                   coproduct, egdp_convolution, recover_egdp_hopf,
+                   recover_stats, symbolic_counting_image)
 from .recovery import recover_egdp_explicit
 
 __version__ = "0.1.0"

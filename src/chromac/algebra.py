@@ -7,25 +7,20 @@ power-sum basis symbols indexed by vector partitions; products multiply
 basis symbols by concatenating partitions.  Truncations to finitely many
 colors land in a Laurent polynomial ring, which is also represented
 sparsely with exact integer coefficients.
+
+Every map that is multiplicative over parts (the truncation here, the
+convolution of two counting functionals and the explicit recovery
+formula) is evaluated by one kernel, `character_sum`, on polynomials
+whose exponent vectors are packed into integers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Vector = tuple[int, ...]
 Exponents = tuple[int, ...]
-
-
-def choose(a: int, b: int) -> int:
-    """Binomial coefficient, 0 when b < 0 or b > a.  Requires a >= 0."""
-    if a < 0:
-        raise ValueError(f"negative top in binomial coefficient: {a}")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +164,6 @@ def partitions_of(target: Iterable[int], positive_parts: bool = True) -> list[Ve
     return results
 
 
-def partition_binomial(lam: VectorPartition, omega: VectorPartition) -> int:
-    """Product over distinct parts of C(multiplicity in lam, multiplicity in omega)."""
-    if lam.width != omega.width:
-        raise ValueError("partition widths differ")
-    lam_counts = lam.multiplicities()
-    result = 1
-    for part, m in omega.multiplicities().items():
-        result *= choose(lam_counts.get(part, 0), m)
-        if result == 0:
-            return 0
-    return result
-
-
 def pack(vector: Iterable[int], radix: int) -> int:
     """One integer for a vector of coordinates below radix, most
     significant first.  Adding codes adds the vectors as long as no
@@ -202,24 +184,59 @@ def unpack(code: int, radix: int, width: int) -> Vector:
     return tuple(reversed(digits))
 
 
-def submultiset_stats(partition: VectorPartition, radix: int) -> dict[int, int]:
-    """Number of sub-multisets of the parts with each (length, grade).
+def add_product(total: dict[int, int], a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Add the product of two polynomials on packed exponent codes into
+    total, and return total.  Every code the product reaches is kept, even
+    where its coefficient cancels to zero."""
+    if len(a) < len(b):
+        a, b = b, a
+    get = total.get
+    for code_b, count_b in b.items():
+        for code_a, count_a in a.items():
+            code = code_a + code_b
+            total[code] = get(code, 0) + count_a * count_b
+    return total
 
-    The statistics are packed as pack((length, *grade), radix), so adding
-    packed parts adds statistics; radix must exceed the length and every
-    grade coordinate of the partition, so that no sum carries.  A part of
-    multiplicity m taken k times contributes C(m, k), so the counts sum
-    to 2^length."""
-    stats = {0: 1}
-    for part, m in partition.multiplicities().items():
-        packed = pack((1, *part), radix)
-        steps = [(k * packed, math.comb(m, k)) for k in range(m + 1)]
-        merged: dict[int, int] = {}
-        for key, count in stats.items():
-            for step, ways in steps:
-                merged[key + step] = merged.get(key + step, 0) + count * ways
-        stats = merged
-    return stats
+
+def character_sum(terms: dict[VectorPartition, int],
+                  image: Callable[[Vector], dict[int, int]]) -> dict[int, int]:
+    """Sum over the basis symbols of their coefficient times the product
+    of image(part) over their parts, on packed exponent codes.
+
+    Read smallest part first, the symbols' parts form a trie, so symbols
+    that share their smallest parts share the product over them.  The
+    trie is evaluated bottom up with a stack: a node holds the sum, over
+    the symbols below it, of their coefficient times the product of the
+    images of their later parts, and closing a node adds that sum times
+    the image of its own part into its parent.  Each distinct part's
+    image is computed once.  Like add_product, the result keeps every
+    code that some symbol reaches, even where the coefficients cancel."""
+    images: dict[Vector, dict[int, int]] = {}
+    path: list[Vector] = []
+    sums: list[dict[int, int]] = [{}]  # sums[d]: the open node at depth d
+
+    def close() -> None:
+        part = path.pop()
+        values = images.get(part)
+        if values is None:
+            values = images[part] = image(part)
+        node = sums.pop()
+        add_product(sums[-1], node, values)
+
+    for parts, coeff in sorted((p.parts[::-1], c) for p, c in terms.items()):
+        shared = 0
+        limit = min(len(path), len(parts))
+        while shared < limit and path[shared] == parts[shared]:
+            shared += 1
+        for _ in range(len(path) - shared):
+            close()
+        for part in parts[shared:]:
+            path.append(part)
+            sums.append({})
+        sums[-1][0] = coeff  # a new node: symbols sort before their extensions
+    while path:
+        close()
+    return sums[0]
 
 
 # ---------------------------------------------------------------------------
@@ -482,33 +499,21 @@ class MacMahonElement:
         Exponent vectors are packed into integers, one digit group of
         width coordinates per color, in a radix above every grade
         coordinate of the element, which no exponent of a product of its
-        parts can reach; so multiplying monomials adds their codes.  The
-        k codes of a distinct part are computed once, and the result is
-        unpacked once at the end."""
+        parts can reach; so a part's image is its k color codes, and
+        `character_sum` multiplies and sums them."""
         if colors < 0:
             raise ValueError("number of colors must be >= 0")
         names = truncation_variables(self.width, colors)
         radix = 1 + max((c for p in self.terms for c in p.grade), default=0)
         color_step = radix ** self.width
-        part_codes: dict[Vector, list[int]] = {}
-        total: dict[int, int] = {}
-        for partition, coeff in self.terms.items():
-            product = {0: coeff}
-            for part in partition.parts:
-                codes = part_codes.get(part)
-                if codes is None:
-                    code = pack(part, radix)
-                    codes = part_codes[part] = [code * color_step ** (colors - 1 - j)
-                                                for j in range(colors)]
-                expanded: dict[int, int] = {}
-                for key, count in product.items():
-                    for code in codes:
-                        expanded[key + code] = expanded.get(key + code, 0) + count
-                product = expanded
-            for key, count in product.items():
-                total[key] = total.get(key, 0) + count
+
+        def image(part: Vector) -> dict[int, int]:
+            code = pack(part, radix)
+            return {code * color_step ** (colors - 1 - j): 1 for j in range(colors)}
+
         return LaurentPolynomial(names, {unpack(key, radix, len(names)): count
-                                         for key, count in total.items()})
+                                         for key, count in character_sum(self.terms, image).items()
+                                         if count})
 
     def to_text(self) -> str:
         if not self.terms:
@@ -586,14 +591,3 @@ class TensorElement:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def tensor_product(left: MacMahonElement, right: MacMahonElement) -> TensorElement:
-    if left.width != right.width:
-        raise ValueError("width mismatch")
-    terms: dict[tuple[VectorPartition, VectorPartition], int] = {}
-    for p1, c1 in left.terms.items():
-        for p2, c2 in right.terms.items():
-            key = (p1, p2)
-            terms[key] = terms.get(key, 0) + c1 * c2
-    return TensorElement(left.width, terms)

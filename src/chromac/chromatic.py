@@ -25,8 +25,8 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .algebra import (LaurentPolynomial, MacMahonElement, VectorPartition, pack,
-                      truncation_variables, unpack)
+from .algebra import (LaurentPolynomial, MacMahonElement, VectorPartition, add_product,
+                      pack, truncation_variables, unpack)
 from .errors import CapExceededError, NotApplicableError
 from .graphs import WeightedGraph
 
@@ -122,11 +122,7 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
             shift = shifts.setdefault(code, low + digit * len(shifts))
             key = state - code + (1 << shift)  # open code 0: never a key of child
             offers[key] = offers.get(key, 0) + count
-        merged: dict[int, int] = {}
-        for state, count in states[parent].items():
-            for offer, times in offers.items():
-                merged[state + offer] = merged.get(state + offer, 0) + count * times
-        states[parent] = merged
+        states[parent] = add_product({}, states[parent], offers)
         child.clear()
     return _closed_types(states[g.n], shifts, low, digit, radix, width)
 
@@ -342,9 +338,11 @@ def _forest_egdp_terms(g: WeightedGraph) -> dict[tuple[int, ...], int]:
     with_ = [{pack((0, 1, *w, 0), radix): 1} for w in g.weights]
     for v, parent in reversed(_rooted_forest(g)):
         edge = external if parent < g.n else 0
-        without[parent] = _times(without[parent], _shifted_sum(without[v], 0, with_[v], edge))
+        without[parent] = add_product({}, without[parent],
+                                      _shifted_sum(without[v], 0, with_[v], edge))
         if parent < g.n:
-            with_[parent] = _times(with_[parent], _shifted_sum(without[v], external, with_[v], 1))
+            with_[parent] = add_product({}, with_[parent],
+                                        _shifted_sum(without[v], external, with_[v], 1))
     return {unpack(code, radix, slots): count for code, count in without[g.n].items()}
 
 
@@ -355,15 +353,6 @@ def _shifted_sum(a: dict[int, int], shift_a: int,
     for code, count in b.items():
         total[code + shift_b] = total.get(code + shift_b, 0) + count
     return total
-
-
-def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Product of two packed-exponent polynomials."""
-    product: dict[int, int] = {}
-    for code_a, count_a in a.items():
-        for code_b, count_b in b.items():
-            product[code_a + code_b] = product.get(code_a + code_b, 0) + count_a * count_b
-    return product
 
 
 def specialize_egdp(poly: LaurentPolynomial, target: str) -> LaurentPolynomial:

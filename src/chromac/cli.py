@@ -109,39 +109,38 @@ def _check_forest(g: WeightedGraph) -> str | None:
     if recovered != expected:
         return "hopf route mismatch"
     if g.r == 1:
-        table = beta_table(g)
+        table = {partition: abs(coeff) for partition, coeff in element.terms.items()}
         explicit = recover_egdp_explicit(table, g.n, g.total_weight[0], g.edge_count)
         if explicit != expected:
             return "explicit route mismatch"
     return None
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    checked = 0
+def _verify_forests(args: argparse.Namespace) -> Iterator[WeightedGraph]:
+    """The forests `verify` checks: every labeled tree with every weight
+    assignment up to n_max vertices, or random forests."""
     if args.mode == "exhaustive":
         for n in range(1, args.n_max + 1):
             for edges in all_labeled_trees(n):
                 for weights in _weight_assignments(n, args.weight_max, args.r):
-                    g = WeightedGraph(n, weights, edges, args.r)
-                    failure = _check_forest(g)
-                    if failure is not None:
-                        print(f"FAIL: {failure}", file=sys.stderr)
-                        print(serialize_graph(g), end="")
-                        print("RESULT: FAIL")
-                        return 1
-                    checked += 1
+                    yield WeightedGraph(n, weights, edges, args.r)
     else:
         rng = random.Random(args.seed)
         for _ in range(args.trials):
             n = rng.randint(1, args.n_max)
-            g = random_forest(n, args.weight_max, args.r, seed=rng.randrange(2 ** 32))
-            failure = _check_forest(g)
-            if failure is not None:
-                print(f"FAIL: {failure}", file=sys.stderr)
-                print(serialize_graph(g), end="")
-                print("RESULT: FAIL")
-                return 1
-            checked += 1
+            yield random_forest(n, args.weight_max, args.r, seed=rng.randrange(2 ** 32))
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    checked = 0
+    for g in _verify_forests(args):
+        failure = _check_forest(g)
+        if failure is not None:
+            print(f"FAIL: {failure}", file=sys.stderr)
+            print(serialize_graph(g), end="")
+            print("RESULT: FAIL")
+            return 1
+        checked += 1
     print(f"mode: {args.mode}")
     print(f"checked: {checked} forests")
     print("RESULT: PASS")

@@ -8,24 +8,27 @@ length l to t^n (1-u)^(n-l) v^w; on the CMF of a forest with e edges
 this collapses to the single monomial t^n u^e v^w, which is what makes
 the degree-polynomial recovery work.
 
-Because a counting functional reads only the grade and the length of a
-basis symbol, the counting image and the convolution of two counting
-functionals never build the coproduct.  They bin the element by those
-statistics (for the convolution: of every sub-multiset of parts and of
-the whole partition, with multiplicities from products of binomials) and
-write the binomial expansion of each (1 - u)^k straight into the result.
-This is the character calculus of combinatorial Hopf algebras
-(Aguiar-Bergeron-Sottile, Compositio Math. 142, 2006).
+The counting image and the convolution of two counting functionals
+never build the coproduct.  A counting functional reads only the grade
+and the length of a basis symbol, so the counting image sums the
+coefficients per (grade, length) and expands each (1 - u)^k once.  Both
+counting functionals are multiplicative over parts and every p_part is
+primitive, so their convolution is the product over parts of f + g
+(the character calculus of combinatorial Hopf algebras,
+Aguiar-Bergeron-Sottile, Compositio Math. 142, 2006); it is evaluated
+by the trie kernel `character_sum` on packed statistics, and each sum
+is expanded once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .algebra import (LaurentPolynomial, MacMahonElement, TensorElement,
-                      Vector, VectorPartition, submultiset_stats, unpack)
+                      Vector, VectorPartition, add_product, character_sum,
+                      pack, unpack)
 from .chromatic import egdp_variables
 
 
@@ -86,36 +89,6 @@ def convolve(f: LinearFunctional, g: LinearFunctional,
         for exps, c in product.terms.items():
             acc[exps] = acc.get(exps, 0) + coeff * c
     return LaurentPolynomial(f.variables, acc)
-
-
-def counting_functional(t: LaurentPolynomial | int, u: LaurentPolynomial | int,
-                        v: Iterable[LaurentPolynomial | int]) -> LinearFunctional:
-    """The functional p_Lambda -> t^n (1-u)^(n-l) v1^w1 ... vr^wr for
-    Lambda of multidegree (n, w1, ..., wr) and length l."""
-    vs = list(v)
-    polys = [p for p in (t, u, *vs) if isinstance(p, LaurentPolynomial)]
-    if not polys:
-        raise ValueError("at least one of t, u, v must be a Laurent polynomial")
-    names = polys[0].variables
-
-    def lift(p: LaurentPolynomial | int) -> LaurentPolynomial:
-        return p if isinstance(p, LaurentPolynomial) else LaurentPolynomial.constant(names, p)
-
-    t_poly, u_poly = lift(t), lift(u)
-    v_polys = [lift(p) for p in vs]
-    one_minus_u = LaurentPolynomial.constant(names, 1) - u_poly
-
-    def rule(partition: VectorPartition) -> LaurentPolynomial:
-        grade = partition.grade
-        if len(grade) != len(v_polys) + 1:
-            raise ValueError(f"partition width {len(grade)} does not match {len(v_polys)} weight slots")
-        n = grade[0]
-        value = (t_poly ** n) * (one_minus_u ** (n - partition.length))
-        for v_poly, w in zip(v_polys, grade[1:]):
-            value = value * (v_poly ** w)
-        return value
-
-    return LinearFunctional(names, rule)
 
 
 def counting_variables(width: int) -> tuple[str, ...]:
@@ -182,35 +155,39 @@ def egdp_convolution(element: MacMahonElement) -> LaurentPolynomial:
     """Convolution of two counting functionals that evaluates, on the CMF
     of a forest with c components, to w^c times the forest's EGDP.
 
-    The functionals are f = counting_functional(w x, z/w, y) and
-    g = counting_functional(w, 1/w, 1).  For a sub-multiset Omega of
-    Lambda with grade (a, y) and length b, f(p_Omega) g(p_(Lambda-Omega))
-    is w^n x^a y^y (1 - z/w)^p (1 - 1/w)^q with p = a - b and
+    The functionals are p_Lambda -> t^n (1-u)^(n-l) v^w at (t, u, v) =
+    (w x, z/w, y) and at (w, 1/w, 1).  For a sub-multiset Omega of Lambda
+    with grade (a, y) and length b, the convolution takes
+    w^n x^a y^y (1 - z/w)^p (1 - 1/w)^q with p = a - b and
     q = (n - a) - (l - b), where (n, ...) is the grade and l the length
-    of Lambda.  So the coefficients are summed per (n, l, a, y, b) and
-    each bucket is expanded once."""
+    of Lambda.  So `character_sum` sums the coefficients per
+    (n, l, b, a, y): a part adds its size and 1 to (n, l), and either
+    nothing or 1 and itself to (b, a, y).  Each sum is expanded once."""
     names = egdp_variables(element.width - 1)
     radix = 1 + max((max(*p.grade, p.length) for p in element.terms), default=0)
-    buckets: dict[tuple[int, int, int], int] = {}
-    for partition, coeff in element.terms.items():
-        n, length = partition.grade[0], partition.length
-        for key, count in submultiset_stats(partition, radix).items():
-            bucket = (n, length, key)
-            buckets[bucket] = buckets.get(bucket, 0) + coeff * count
-    acc: dict[tuple[int, ...], int] = {}
-    for (n, length, key), coeff in buckets.items():
-        sub_length, *grade = unpack(key, radix, element.width + 1)
+    zeros = (0,) * element.width
+
+    def image(part: Vector) -> dict[int, int]:
+        base = pack((part[0], 1, 0, *zeros), radix)
+        return {base: 1, base + pack((0, 0, 1, *part), radix): 1}
+
+    w_unit = radix ** (element.width + 1)  # w^1 in the packed monomials
+    expansions: dict[tuple[int, int], dict[int, int]] = {}
+    acc: dict[int, int] = {}
+    for key, coeff in character_sum(element.terms, image).items():
+        n, length, sub_length, *grade = unpack(key, radix, element.width + 3)
         p = grade[0] - sub_length
-        # every bucket comes from a basis symbol in the support, so even
-        # one whose coefficients cancel must be a valid power
-        z_coeffs = _one_minus_u_power(p)
-        w_coeffs = _one_minus_u_power(n - length - p)
-        for i, ci in enumerate(z_coeffs):
-            ci *= coeff
-            for j, cj in enumerate(w_coeffs):
-                monomial = (n - i - j, *grade, i)
-                acc[monomial] = acc.get(monomial, 0) + ci * cj
-    return LaurentPolynomial(names, acc)
+        q = n - length - p
+        expansion = expansions.get((p, q))
+        if expansion is None:
+            # every sum comes from a basis symbol in the support, so even
+            # one whose coefficients cancel must give valid powers
+            expansion = expansions[p, q] = {i - (i + j) * w_unit: ci * cj  # z^i w^-(i+j)
+                                            for i, ci in enumerate(_one_minus_u_power(p))
+                                            for j, cj in enumerate(_one_minus_u_power(q))}
+        add_product(acc, {pack((n, *grade, 0), radix): coeff}, expansion)
+    return LaurentPolynomial(names, {unpack(monomial, radix, len(names)): coeff
+                                     for monomial, coeff in acc.items()})
 
 
 def recover_egdp_hopf(element: MacMahonElement) -> LaurentPolynomial:

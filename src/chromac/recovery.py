@@ -7,14 +7,16 @@ contributes (-1)^(n - len(Lambda)) times a coefficient that sums over
 sub-partitions of multidegree (b, c).  The engine of the cancellation
 is the identity  sum_k C(P, k) (-1)^(k + q) C(k, q) = [P == q]; the
 tests check it term by term and evaluate the per-type coefficient
-pointwise as oracles for the bucketed assembly below.
+pointwise as oracles for the assembly below, which sums the signed
+counts of all types at once with the trie kernel `character_sum`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .algebra import LaurentPolynomial, VectorPartition, submultiset_stats, unpack
+from .algebra import (LaurentPolynomial, VectorPartition, add_product, character_sum, pack,
+                      unpack)
 from .errors import NotApplicableError
 
 
@@ -25,45 +27,53 @@ def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
     Equivalent to summing count * (-1)^(n - length) times each type's
     pointwise coefficient over the table for every statistics tuple.  A
     sub-multiset of a type with size b, weight c and length l enters only
-    through (b, c, l) and the type's length, so the signed counts are
-    summed per such bucket over all types, and each bucket's binomials
-    are expanded once.
+    through (b, c, l) and the type's length, so `character_sum` sums the
+    signed counts per (type length, l, b, c) over all types (a part adds
+    1 to the type length, and either nothing or 1 and itself to (l, b, c)),
+    and each sum's binomials are expanded once.
     """
-    radix = 1 + max((max(*p.grade, p.length) for p in table), default=0)
-    buckets: dict[tuple[int, int], int] = {}  # (type length, packed (l, b, c))
+    signed: dict[VectorPartition, int] = {}
     for partition, count in table.items():
         if partition.width != 2:
             raise NotApplicableError("the explicit route requires scalar weights (width 2 types)")
         if partition.grade != (n, total_weight):
             raise ValueError(f"type {partition} does not have multidegree ({n},{total_weight})")
-        base = -count if (n - partition.length) & 1 else count
-        for stats, mult in submultiset_stats(partition, radix).items():
-            key = (partition.length, stats)
-            buckets[key] = buckets.get(key, 0) + base * mult
-    grid: dict[tuple[int, int, int, int], int] = {}
-    for (length, stats), weight in buckets.items():
-        l0, b0, c0 = unpack(stats, radix, 3)
+        signed[partition] = -count if (n - partition.length) & 1 else count
+    radix = 1 + max(n, total_weight, e, *(p.length for p in table))
+    one_part = pack((1, 0, 0, 0), radix)
+
+    def image(part: tuple[int, ...]) -> dict[int, int]:
+        return {one_part: 1, one_part + pack((0, 1, *part), radix): 1}
+
+    # packed (a, 0, 0, d) -> signed binomials, per (inside_top, outside_top)
+    expansions: dict[tuple[int, int], dict[int, int]] = {}
+    grid: dict[int, int] = {}  # packed (a, b, c, d), in lexicographic order
+    for stats, weight in character_sum(signed, image).items():
+        length, l0, b0, c0 = unpack(stats, radix, 4)
         inside_top = b0 - l0
         outside_top = n - length + l0 - b0
         if not weight or inside_top < 0 or outside_top < 0:
             continue
-        for d in range(0, min(e, inside_top) + 1):
-            contribution = weight * math.comb(inside_top, d)
-            for a in range(max(0, e - d - outside_top), e - d + 1):
-                term = contribution * math.comb(outside_top, e - a - d)
-                key = (a, b0, c0, d)
-                grid[key] = grid.get(key, 0) + (-term if (e - a) & 1 else term)
+        expansion = expansions.get((inside_top, outside_top))
+        if expansion is None:
+            expansion = expansions[inside_top, outside_top] = {
+                pack((a, 0, 0, d), radix):
+                    math.comb(inside_top, d) * math.comb(outside_top, e - a - d)
+                    * (-1 if (e - a) & 1 else 1)
+                for d in range(0, min(e, inside_top) + 1)
+                for a in range(max(0, e - d - outside_top), e - d + 1)}
+        add_product(grid, {pack((0, b0, c0, 0), radix): weight}, expansion)
     terms: dict[tuple[int, ...], int] = {}
     total = 0
     for key in sorted(grid):
         value = grid[key]
+        a, b0, c0, d = unpack(key, radix, 4)
         if value < 0:
-            a, b0, c0, d = key
             raise ValueError(f"negative reconstructed coefficient {value} at "
                              f"(ext,size,weight,internal)=({a},{b0},{c0},{d}); "
                              "the table is not a forest subset-type table for these parameters")
         if value:
-            terms[key] = value
+            terms[a, b0, c0, d] = value
             total += value
     if total != 2 ** n:
         raise ValueError(f"reconstructed coefficients sum to {total}, expected 2^{n}; "

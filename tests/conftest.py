@@ -1,23 +1,26 @@
 """Shared fixtures: the weight-swapped path pair, a deterministic graph
-corpus, weight patterns for exhaustive tree sweeps, Hopf-axiom checkers
-used by both the unit and acceptance suites, and definitional oracles
-for the CMF and EGDP dynamic programs, the packed truncation, the
-bucketed Hopf evaluations and the explicit recovery route."""
+corpus, weight patterns for exhaustive tree sweeps, the binomial,
+tensor-product and counting-functional helpers that only tests use,
+Hopf-axiom checkers used by both the unit and acceptance suites, and
+definitional oracles for the CMF and EGDP dynamic programs, the packed
+truncation, the trie-kernel Hopf evaluations and the explicit recovery
+route."""
 
 from __future__ import annotations
 
 import json
+import math
 import random
+from typing import Iterable
 
 import pytest
 
-from chromac import (LaurentPolynomial, MacMahonElement, NotApplicableError,
-                     TensorElement, VectorPartition, WeightedGraph, antipode,
-                     choose, component_type, convolve, coproduct,
-                     counterexample_pair, counting_functional, cycle_graph,
-                     egdp_variables, ext_int_counts, partition_binomial,
-                     partitions_of, path_graph, star_graph,
-                     truncation_variables)
+from chromac import (LaurentPolynomial, LinearFunctional, MacMahonElement,
+                     NotApplicableError, TensorElement, VectorPartition,
+                     WeightedGraph, antipode, component_type, convolve,
+                     coproduct, counterexample_pair, cycle_graph,
+                     egdp_variables, ext_int_counts, partitions_of,
+                     path_graph, star_graph, truncation_variables)
 from chromac.hopf import counting_variables
 
 
@@ -105,6 +108,73 @@ def random_element(rng: random.Random, width: int = 2,
 
 
 # ---------------------------------------------------------------------------
+# Binomials, tensor products and counting functionals, by definition
+
+
+def choose(a: int, b: int) -> int:
+    """Binomial coefficient, 0 when b < 0 or b > a.  Requires a >= 0."""
+    if a < 0:
+        raise ValueError(f"negative top in binomial coefficient: {a}")
+    if b < 0 or b > a:
+        return 0
+    return math.comb(a, b)
+
+
+def partition_binomial(lam: VectorPartition, omega: VectorPartition) -> int:
+    """Product over distinct parts of C(multiplicity in lam, multiplicity in omega)."""
+    if lam.width != omega.width:
+        raise ValueError("partition widths differ")
+    lam_counts = lam.multiplicities()
+    result = 1
+    for part, m in omega.multiplicities().items():
+        result *= choose(lam_counts.get(part, 0), m)
+        if result == 0:
+            return 0
+    return result
+
+
+def tensor_product(left: MacMahonElement, right: MacMahonElement) -> TensorElement:
+    if left.width != right.width:
+        raise ValueError("width mismatch")
+    terms: dict[tuple[VectorPartition, VectorPartition], int] = {}
+    for p1, c1 in left.terms.items():
+        for p2, c2 in right.terms.items():
+            key = (p1, p2)
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return TensorElement(left.width, terms)
+
+
+def counting_functional(t: LaurentPolynomial | int, u: LaurentPolynomial | int,
+                        v: Iterable[LaurentPolynomial | int]) -> LinearFunctional:
+    """The functional p_Lambda -> t^n (1-u)^(n-l) v1^w1 ... vr^wr for
+    Lambda of multidegree (n, w1, ..., wr) and length l."""
+    vs = list(v)
+    polys = [p for p in (t, u, *vs) if isinstance(p, LaurentPolynomial)]
+    if not polys:
+        raise ValueError("at least one of t, u, v must be a Laurent polynomial")
+    names = polys[0].variables
+
+    def lift(p: LaurentPolynomial | int) -> LaurentPolynomial:
+        return p if isinstance(p, LaurentPolynomial) else LaurentPolynomial.constant(names, p)
+
+    t_poly, u_poly = lift(t), lift(u)
+    v_polys = [lift(p) for p in vs]
+    one_minus_u = LaurentPolynomial.constant(names, 1) - u_poly
+
+    def rule(partition: VectorPartition) -> LaurentPolynomial:
+        grade = partition.grade
+        if len(grade) != len(v_polys) + 1:
+            raise ValueError(f"partition width {len(grade)} does not match {len(v_polys)} weight slots")
+        n = grade[0]
+        value = (t_poly ** n) * (one_minus_u ** (n - partition.length))
+        for v_poly, w in zip(v_polys, grade[1:]):
+            value = value * (v_poly ** w)
+        return value
+
+    return LinearFunctional(names, rule)
+
+
+# ---------------------------------------------------------------------------
 # Hopf axiom checkers
 
 TripleTerms = dict[tuple[VectorPartition, VectorPartition, VectorPartition], int]
@@ -158,7 +228,7 @@ def coproduct_respects_product(a: MacMahonElement, b: MacMahonElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Definitional oracles for the bucketed Hopf evaluations
+# Definitional oracles for the trie-kernel Hopf evaluations
 
 
 def egdp_convolution_by_coproduct(element: MacMahonElement) -> LaurentPolynomial:

@@ -19,19 +19,19 @@ import pytest
 import conftest
 
 from chromac import (LaurentPolynomial, MacMahonElement, TensorElement,
-                     WeightedGraph, all_labeled_trees, beta_table, choose,
+                     WeightedGraph, all_labeled_trees, beta_table,
                      cmf, cmf_by_enumeration, coproduct, counterexample_pair,
                      cycle_graph, egdp, induced_subgraph,
                      is_triangular_with_unit_diagonal, partitions_of,
                      random_forest, recover_egdp_explicit, recover_egdp_hopf,
                      recover_stats, specialize_csf, specialize_egdp,
-                     star_family, symbolic_counting_image, tensor_product,
+                     star_family, symbolic_counting_image,
                      transition_matrix, truncation_variables)
 
-from conftest import (antipode_convolution, beta_by_edge_subsets,
+from conftest import (antipode_convolution, beta_by_edge_subsets, choose,
                       coproduct_respects_product, counit,
                       double_coproduct_left, double_coproduct_right,
-                      random_element, weight_patterns)
+                      random_element, tensor_product, weight_patterns)
 
 
 def _line(number: int, label: str, verdict: str, elapsed: float) -> None:

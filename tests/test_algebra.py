@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from chromac import (LaurentPolynomial, MacMahonElement, TensorElement,
-                     VectorPartition, choose, partition_binomial,
-                     partitions_of, tensor_product, truncation_variables)
+from chromac import (LaurentPolynomial, MacMahonElement, VectorPartition,
+                     partitions_of, truncation_variables)
+from chromac.algebra import add_product, character_sum, pack, unpack
 
-from conftest import random_element, truncate_by_products
+from conftest import (choose, partition_binomial, random_element,
+                      tensor_product, truncate_by_products)
 
 
 def vp(*parts: tuple[int, ...]) -> VectorPartition:
@@ -297,6 +299,77 @@ def test_truncate_errors_match_products():
 
 def test_truncation_variables_r2():
     assert truncation_variables(3, 2) == ("x1", "y1_1", "y2_1", "x2", "y1_2", "y2_2")
+
+
+# ---------------------------------------------------------------------------
+# The character-sum kernel
+
+
+@st.composite
+def kernel_elements(draw):
+    """Elements of width 1-3 with repeated parts, the empty partition and
+    coefficients of both signs."""
+    width = draw(st.integers(1, 3))
+    part = st.tuples(*[st.integers(0, 2)] * width).filter(any)
+    terms: dict[VectorPartition, int] = {}
+    for parts in draw(st.lists(st.lists(part, max_size=4), max_size=6)):
+        key = VectorPartition.of(parts, width=width)
+        terms[key] = terms.get(key, 0) + draw(st.integers(-3, 3))
+    return MacMahonElement(width, terms)
+
+
+def _kernel_image(kind: str, radix: int):
+    """A part's image on packed (part, extra) codes: one monomial that sees
+    only the part's coordinates, or a binomial with a negative count."""
+    def image(part):
+        if kind == "monomial":
+            return {pack((*part, 0), radix): 1}
+        return {pack((*part, 0), radix): 1, pack((*part, 1), radix): -2}
+    return image
+
+
+_canceling = (MacMahonElement.power_sum(vp((1, 1), (1, 1))) -
+              MacMahonElement.power_sum(vp((2, 2))))
+
+
+@example(MacMahonElement.zero(2), "binomial")
+@example(MacMahonElement.one(1), "binomial")
+@example(_canceling, "monomial")
+@given(kernel_elements(), st.sampled_from(["monomial", "binomial"]))
+def test_character_sum_matches_per_symbol_products(element, kind):
+    radix = 2 + max((max(*p.grade, p.length) for p in element.terms), default=0)
+    image = _kernel_image(kind, radix)
+    names = tuple(f"v{i}" for i in range(element.width + 1))
+
+    def poly(codes):
+        return LaurentPolynomial(names, {unpack(code, radix, len(names)): count
+                                         for code, count in codes.items()})
+
+    expected = LaurentPolynomial.zero(names)
+    reached = set()
+    for partition, coeff in element.terms.items():
+        product = LaurentPolynomial.constant(names, coeff)
+        for part in partition.parts:
+            product = product * poly(image(part))
+        expected = expected + product
+        reached |= {sum(codes) for codes in
+                    itertools.product(*(image(part) for part in partition.parts))}
+    result = character_sum(element.terms, image)
+    assert poly(result) == expected
+    # every code some symbol reaches is kept, even where its sum cancels
+    assert set(result) == reached
+
+
+def test_character_sum_keeps_canceled_codes():
+    radix = 4
+    result = character_sum(_canceling.terms, _kernel_image("monomial", radix))
+    assert result == {pack((2, 2, 0), radix): 0}
+
+
+def test_add_product_adds_into_total():
+    total = {5: 1}
+    assert add_product(total, {0: 2, 1: 3}, {4: 1, 5: -1}) is total
+    assert total == {4: 2, 5: 2, 6: -3}
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,22 @@ def test_verify_random_multiweight(capsys):
     assert out.endswith("RESULT: PASS\n")
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_verify_prints_a_reproducer_on_failure(capsys, monkeypatch, mode):
+    import chromac.cli as cli
+    seen = []
+
+    def fail_third(g):
+        seen.append(g)
+        return "hopf route mismatch" if len(seen) == 3 else None
+
+    monkeypatch.setattr(cli, "_check_forest", fail_third)
+    code, out, err = run(capsys, "verify", "--mode", mode, "--n-max", "3")
+    assert code == 1
+    assert out == serialize_graph(seen[-1]) + "RESULT: FAIL\n"
+    assert err == "FAIL: hopf route mismatch\n"
+
+
 # ---------------------------------------------------------------------------
 # counterexample and bases
 
@@ -328,3 +344,22 @@ def test_console_script(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "wGDP x^4 y^3 coefficient: 1 vs 2" in proc.stdout
+
+
+def test_runtime_is_stdlib_only():
+    """The package declares no dependencies and imports only the standard
+    library (pyproject.toml is read as text: tomllib is new in 3.11)."""
+    import ast
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert "\ndependencies = []\n" in pyproject
+    for path in sorted((ROOT / "src" / "chromac").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)

@@ -6,18 +6,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromac import (LaurentPolynomial, LinearFunctional, MacMahonElement,
                      TensorElement, VectorPartition, WeightedGraph, antipode,
-                     cmf, convolve, coproduct, counting_functional,
-                     cycle_graph, egdp, egdp_convolution, path_graph,
-                     random_forest, recover_egdp_hopf, recover_stats,
-                     single_vertex, symbolic_counting_image, tensor_product)
+                     cmf, convolve, coproduct, cycle_graph, egdp,
+                     egdp_convolution, path_graph, random_forest,
+                     recover_egdp_explicit, recover_egdp_hopf, recover_stats,
+                     single_vertex, symbolic_counting_image)
 
 from conftest import (antipode_convolution, coproduct_respects_product,
-                      counit, counting_image_by_functional,
-                      double_coproduct_left, double_coproduct_right,
-                      egdp_convolution_by_coproduct, random_element)
+                      counit, counting_functional,
+                      counting_image_by_functional, double_coproduct_left,
+                      double_coproduct_right, egdp_convolution_by_coproduct,
+                      random_element, recover_egdp_explicit_per_type,
+                      tensor_product, truncate_by_products)
 
 
 def vp(*parts):
@@ -280,15 +284,15 @@ def test_recovery_rejects_non_forests():
 
 
 # ---------------------------------------------------------------------------
-# Bucketed evaluation against the definitional coproduct route
+# Trie-kernel evaluations against their definitional routes
 
 
 def _outcome(fn, element):
-    """The value, or the message of the ValueError raised instead."""
+    """The value, or the type and message of the ValueError raised instead."""
     try:
         return fn(element)
     except ValueError as exc:
-        return f"ValueError: {exc}"
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _oracle_inputs() -> list[MacMahonElement]:
@@ -320,6 +324,37 @@ def test_bucketed_evaluation_matches_coproduct_route():
             _outcome(egdp_convolution_by_coproduct, element), element
         assert _outcome(symbolic_counting_image, element) == \
             _outcome(counting_image_by_functional, element), element
+
+
+def test_explicit_route_matches_per_type_oracle_on_oracle_inputs():
+    """Value-or-error parity of recover_egdp_explicit with the per-type
+    oracle, on the signed element and on its absolute values as tables,
+    with (n, w) from the first symbol and e = n - the least length (the
+    forest's edge count when the element is a forest CMF)."""
+    for element in _oracle_inputs():
+        support = element.support()
+        grade = support[0].grade if support else (0,)
+        n, w = grade[0], sum(grade[1:])
+        e = max(0, n - min((p.length for p in support), default=0))
+        for table in (element.terms, {p: abs(c) for p, c in element.terms.items()}):
+            for edges in {e, max(0, e - 1)}:
+                assert _outcome(lambda t: recover_egdp_explicit(t, n, w, edges), table) == \
+                    _outcome(lambda t: recover_egdp_explicit_per_type(t, n, w, edges), table), \
+                    (element, n, w, edges)
+
+
+def test_truncation_matches_product_oracle_on_oracle_inputs():
+    for element in _oracle_inputs():
+        for colors in range(4):
+            assert _outcome(lambda el: el.truncate(colors), element) == \
+                _outcome(lambda el: truncate_by_products(el, colors), element), (element, colors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 3), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+def test_hopf_recovery_of_random_forests(n, max_weight, r, seed):
+    g = random_forest(n, max_weight=max_weight, r=r, seed=seed)
+    assert recover_egdp_hopf(cmf(g)) == egdp(g)
 
 
 def test_negative_powers_raise_as_on_the_coproduct_route():

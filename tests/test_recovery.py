@@ -12,9 +12,9 @@ from chromac import (NotApplicableError, VectorPartition, all_labeled_trees,
                      beta_table, egdp, path_graph, random_forest,
                      recover_egdp_explicit, single_vertex, star_graph)
 
-from conftest import (recover_egdp_explicit_per_type, recovery_coefficient,
-                      signed_binomial_sum, signed_binomial_sum_literal,
-                      weight_patterns)
+from conftest import (choose, partition_binomial, recover_egdp_explicit_per_type,
+                      recovery_coefficient, signed_binomial_sum,
+                      signed_binomial_sum_literal, weight_patterns)
 
 
 def vp(*parts):
@@ -100,7 +100,7 @@ def test_tree_specialization_of_the_coefficient():
     # on a tree e = n - 1, so the sign is (-1)^(n-1-a) and the outer
     # binomial picks n-1-a-d elements; spelled out independently here
     def tree_coefficient(partition, a, b, c, d, n):
-        from chromac import choose, partition_binomial, partitions_of
+        from chromac import partitions_of
         if b == 0 and c == 0:
             candidates = [VectorPartition(2, ())]
         else:
