@@ -17,6 +17,7 @@ whose exponent vectors are packed into integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 Vector = tuple[int, ...]
@@ -75,7 +76,7 @@ class VectorPartition:
     def length(self) -> int:
         return len(self.parts)
 
-    @property
+    @cached_property
     def grade(self) -> Vector:
         """Coordinatewise sum of the parts (the multidegree)."""
         total = [0] * self.width
@@ -367,23 +368,6 @@ class LaurentPolynomial:
             k = tuple(key)
             terms[k] = terms.get(k, 0) + c
         return LaurentPolynomial(names, terms)
-
-    def shift(self, name: str, amount: int) -> LaurentPolynomial:
-        """Multiply by name**amount (exponent shift, possibly negative)."""
-        idx = self.variables.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            key = list(e)
-            key[idx] += amount
-            terms[tuple(key)] = c
-        return LaurentPolynomial(self.variables, terms)
-
-    def min_exponent(self, name: str) -> int:
-        """Smallest exponent of name across terms; 0 for the zero polynomial."""
-        idx = self.variables.index(name)
-        if not self.terms:
-            return 0
-        return min(e[idx] for e in self.terms)
 
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """Graded order: total degree ascending, then exponents descending."""

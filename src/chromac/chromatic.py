@@ -11,19 +11,21 @@ The extended generalized degree polynomial (EGDP) records, for every
 vertex subset A, the external edge count, cardinality, weight and
 internal edge count of A as a monomial w^ext x^|A| y^weight z^int.
 
-On a forest both come from dynamic programs over each rooted tree, which
-merge every child into its parent, so their cost follows the number of
-distinct partial results rather than 2^e edge or 2^n vertex subsets; a
-forest's subset-type table (beta) is read off its CMF.  The CMF of a
-graph with a cycle comes from a frontier dynamic program that places
-the vertices one at a time and keeps, per state, the components that
-are still open; its EGDP is summed over all vertex subsets.
+On a forest the CMF comes from a dynamic program over each rooted tree,
+which merges every child into its parent, so its cost follows the number
+of distinct partial results rather than 2^e edge subsets; a forest's
+subset-type table (beta) is read off its CMF.  The CMF of a graph with a
+cycle and the EGDP of every graph come from frontier dynamic programs
+that place the vertices one at a time along one walk: the CMF's keeps,
+per state, the components that are still open, the EGDP's the in/out
+bits of the placed vertices that still have an unplaced neighbour.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from typing import Iterator
 
 from .algebra import (LaurentPolynomial, MacMahonElement, VectorPartition, add_product,
                       pack, truncation_variables, unpack)
@@ -33,6 +35,7 @@ from .graphs import WeightedGraph
 DEFAULT_MAX_EDGES = 30
 DEFAULT_MAX_VERTICES = 25
 DEFAULT_MAX_COLORINGS = 10 ** 7
+EGDP_LIVE_TERMS = 1 << 19  # (frontier bits, exponent) terms of the EGDP dynamic program
 
 
 def cmf(g: WeightedGraph, max_edges: int = DEFAULT_MAX_EDGES) -> MacMahonElement:
@@ -127,10 +130,19 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     return _closed_types(states[g.n], shifts, low, digit, radix, width)
 
 
-def _placement_order(g: WeightedGraph, adjacency: list[set[int]]) -> list[int]:
-    """All vertices, each next one the unplaced vertex with the most placed
-    neighbours, ties to the smaller index, so that a frontier dynamic
-    program closes components early and keeps its frontier narrow."""
+def _frontier_steps(g: WeightedGraph) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
+    """The walk of both frontier dynamic programs: all vertices, one at a
+    time, each next one the unplaced vertex with the most placed
+    neighbours, ties to the smaller index, so that the frontier (the placed
+    vertices that still have an unplaced neighbour) stays narrow.
+
+    Yields per vertex v: v, the frontier with v appended, the positions
+    in it of v's placed neighbours and the positions that stay on the
+    frontier once v is placed."""
+    adjacency: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
     placed_neighbours = [0] * g.n
     placed = [False] * g.n
     heap = [(0, v) for v in range(g.n)]  # sorted, hence a heap
@@ -145,7 +157,17 @@ def _placement_order(g: WeightedGraph, adjacency: list[set[int]]) -> list[int]:
             if not placed[u]:
                 placed_neighbours[u] += 1
                 heapq.heappush(heap, (-placed_neighbours[u], u))
-    return order
+    step_of = [0] * g.n
+    for step, v in enumerate(order):
+        step_of[v] = step
+    last = [max((step_of[u] for u in adjacency[v]), default=-1) for v in range(g.n)]
+    frontier: list[int] = []
+    for step, v in enumerate(order):
+        frontier.append(v)
+        touching = [i for i, u in enumerate(frontier) if u in adjacency[v]]
+        staying = [i for i, u in enumerate(frontier) if last[u] > step]
+        yield v, frontier, touching, staying
+        frontier = [frontier[i] for i in staying]
 
 
 def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
@@ -167,26 +189,12 @@ def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     neighbours are placed, and a component with no frontier vertex left
     closes.
     """
-    adjacency: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    order = _placement_order(g, adjacency)
-    step_of = [0] * g.n
-    for step, v in enumerate(order):
-        step_of[v] = step
-    last = [max((step_of[u] for u in adjacency[v]), default=-1) for v in range(g.n)]
     radix = max(g.n, *g.total_weight) + 1
     width = g.r + 1
     digit = g.n.bit_length()
     shifts: dict[int, int] = {}  # code of a closed component -> shift of its digit
-    frontier: list[int] = []
     states: dict[tuple, int] = {(0, (), ()): 1}  # (closed, labels, codes) -> count
-    for step, v in enumerate(order):
-        touching = [i for i, u in enumerate(frontier) if u in adjacency[v]]
-        staying = [i for i, u in enumerate(frontier) if last[u] > step]
-        if last[v] > step:
-            staying.append(len(frontier))  # v itself, at the end of the labels
+    for v, _, touching, staying in _frontier_steps(g):
         code_v = pack((1, *g.weights[v]), radix)
         moves: dict[tuple[int, ...], list[_Move]] = {}
         placed: dict[tuple, int] = {}
@@ -207,8 +215,6 @@ def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
                        tuple([joined if label < 0 else codes[label] for label in sources]))
                 placed[key] = placed.get(key, 0) + count
         states = placed
-        frontier.append(v)
-        frontier = [frontier[i] for i in staying]
     return _closed_types({closed: count for (closed, _, _), count in states.items()},
                          shifts, 0, digit, radix, width)
 
@@ -291,68 +297,41 @@ def egdp(g: WeightedGraph, max_vertices: int = DEFAULT_MAX_VERTICES) -> LaurentP
     """Extended generalized degree polynomial: one monomial
     w^ext(A) x^|A| y^wt(A) z^int(A) per vertex subset A.
 
-    A forest's comes from `_forest_egdp_terms`; any other graph's from
-    all 2^n vertex subsets.
+    A frontier dynamic program along `_frontier_steps`.  A term is one
+    integer: the in/out bits of the frontier vertices, bit v for vertex v,
+    above the packed exponent (ext, size, weight..., int) of the placed
+    part of A, so that subsets that agree on the frontier merge.  Placing v
+    classifies its edges to placed vertices, which are all on the
+    frontier: external when exactly one end is in A, internal when both
+    are.  A placement at most doubles the live terms, so the budget
+    `EGDP_LIVE_TERMS` is checked before each one.
     """
     if g.n > max_vertices:
         raise CapExceededError(f"{g.n} vertices exceeds the cap of {max_vertices}")
-    names = egdp_variables(g.r)
-    if g.is_forest():
-        return LaurentPolynomial(names, _forest_egdp_terms(g))
-    terms: dict[tuple[int, ...], int] = {}
-    for mask in range(1 << g.n):
-        size = mask.bit_count()
-        weight = [0] * g.r
-        for v in range(g.n):
-            if mask >> v & 1:
-                for i, c in enumerate(g.weights[v]):
-                    weight[i] += c
-        external = internal = 0
-        for u, v in g.edges:
-            inside = (mask >> u & 1) + (mask >> v & 1)
-            if inside == 1:
-                external += 1
-            elif inside == 2:
-                internal += 1
-        key = (external, size, *weight, internal)
-        terms[key] = terms.get(key, 0) + 1
-    return LaurentPolynomial(names, terms)
-
-
-def _forest_egdp_terms(g: WeightedGraph) -> dict[tuple[int, ...], int]:
-    """EGDP exponents of a forest with their counts, by dynamic programming
-    over each rooted tree.
-
-    The exponent (ext, size, weight..., int) of a vertex subset of a
-    subtree is a packed code, so that joining subsets adds codes.  Each
-    vertex keeps two polynomials, for subsets without and with it.
-    Merging a child into its parent, the edge between them is external
-    when exactly one end is in the subset and internal when both are.
-    Tree roots merge into a virtual vertex that is never in the subset,
-    by an edge that counts for nothing.
-    """
     slots = g.r + 3
     radix = max(g.n, g.edge_count, *g.total_weight) + 1
+    low = (radix ** slots).bit_length()
     external = radix ** (slots - 1)
-    without = [{0: 1} for _ in range(g.n + 1)]
-    with_ = [{pack((0, 1, *w, 0), radix): 1} for w in g.weights]
-    for v, parent in reversed(_rooted_forest(g)):
-        edge = external if parent < g.n else 0
-        without[parent] = add_product({}, without[parent],
-                                      _shifted_sum(without[v], 0, with_[v], edge))
-        if parent < g.n:
-            with_[parent] = add_product({}, with_[parent],
-                                        _shifted_sum(without[v], external, with_[v], 1))
-    return {unpack(code, radix, slots): count for code, count in without[g.n].items()}
-
-
-def _shifted_sum(a: dict[int, int], shift_a: int,
-                 b: dict[int, int], shift_b: int) -> dict[int, int]:
-    """Sum of two packed-exponent polynomials, each times a monomial."""
-    total = {code + shift_a: count for code, count in a.items()}
-    for code, count in b.items():
-        total[code + shift_b] = total.get(code + shift_b, 0) + count
-    return total
+    terms = {0: 1}
+    for v, frontier, touching, staying in _frontier_steps(g):
+        if 2 * len(terms) > EGDP_LIVE_TERMS:
+            raise CapExceededError(
+                f"the EGDP dynamic program may exceed its budget of {EGDP_LIVE_TERMS} live terms")
+        touch = sum(1 << low + frontier[i] for i in touching)
+        keep = (1 << low) - 1 + sum(1 << low + frontier[i] for i in staying)
+        # v in A, its edges all external; v's bit only if v stays
+        code_in = pack((len(touching), 1, *g.weights[v], 0), radix) + (keep & 1 << low + v)
+        placed: dict[int, int] = {}
+        for key, count in terms.items():
+            inside = (key & touch).bit_count()  # v's placed neighbours in A
+            kept = key & keep
+            out = kept + inside * external
+            placed[out] = placed.get(out, 0) + count
+            in_ = kept + code_in + inside * (1 - external)  # those edges internal instead
+            placed[in_] = placed.get(in_, 0) + count
+        terms = placed
+    return LaurentPolynomial(egdp_variables(g.r), {unpack(code, radix, slots): count
+                                                   for code, count in terms.items()})
 
 
 def specialize_egdp(poly: LaurentPolynomial, target: str) -> LaurentPolynomial:

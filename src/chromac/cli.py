@@ -15,9 +15,8 @@ from typing import Callable, Iterator
 
 from .algebra import MacMahonElement
 from .bases import is_triangular_with_unit_diagonal, matrix_to_text, star_family, transition_matrix
-from .chromatic import (DEFAULT_MAX_COLORINGS, DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES,
-                        beta_table, cmf, cmf_by_enumeration, egdp, specialize_csf,
-                        specialize_egdp)
+from .chromatic import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, beta_table, cmf, egdp,
+                        specialize_csf, specialize_egdp)
 from .errors import CapExceededError, NotApplicableError
 from .graphs import (GraphFormatError, WeightedGraph, all_labeled_trees,
                      counterexample_pair, parse_graph, random_forest, serialize_graph)
@@ -100,9 +99,9 @@ def _weight_assignments(n: int, weight_max: int, r: int) -> Iterator[tuple[tuple
 
 
 def _check_forest(g: WeightedGraph) -> str | None:
-    """Verify both recovery routes against `egdp`, which on a forest is a
-    tree dynamic program that does not go through the CMF; returns an
-    error description or None."""
+    """Verify both recovery routes against `egdp`, a frontier dynamic
+    program that does not go through the CMF; returns an error description
+    or None."""
     expected = egdp(g)
     element = cmf(g)
     recovered = recover_egdp_hopf(element)

@@ -192,9 +192,10 @@ def egdp_convolution(element: MacMahonElement) -> LaurentPolynomial:
 
 def recover_egdp_hopf(element: MacMahonElement) -> LaurentPolynomial:
     """Recover the EGDP of a forest from its CMF via the convolution map."""
-    stats = recover_stats(element)
-    shifted = egdp_convolution(element).shift("w", -stats.c)
-    if shifted.min_exponent("w") < 0:
+    c = recover_stats(element).c
+    product = egdp_convolution(element)
+    if any(exps[0] < c for exps in product.terms):  # w is the first variable
         raise ValueError("negative w-exponents remain after removing the "
                          "component factor; the element is not the CMF of a forest")
-    return shifted
+    return LaurentPolynomial(product.variables, {(exps[0] - c, *exps[1:]): coeff
+                                                 for exps, coeff in product.terms.items()})

@@ -440,18 +440,6 @@ def test_laurent_rename():
         (w * x).rename({"w": "a"}, ("a",))  # x still occurs
 
 
-def test_laurent_shift_and_min_exponent():
-    names = _ring("w", "x")
-    w = LaurentPolynomial.variable(names, "w")
-    x = LaurentPolynomial.variable(names, "x")
-    p = (w ** 2) * x + w
-    shifted = p.shift("w", -1)
-    assert shifted == w * x + LaurentPolynomial.constant(names, 1)
-    assert p.min_exponent("w") == 1
-    assert shifted.min_exponent("w") == 0
-    assert LaurentPolynomial.zero(names).min_exponent("w") == 0
-
-
 def test_laurent_text_golden():
     names = _ring("w", "x", "y", "z")
     w = LaurentPolynomial.variable(names, "w")

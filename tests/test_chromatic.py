@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromac import (CapExceededError, LaurentPolynomial, MacMahonElement,
                      NotApplicableError, VectorPartition, WeightedGraph,
@@ -158,14 +160,14 @@ def petersen_graph(weights) -> WeightedGraph:
 
 def widest_frontier(g: WeightedGraph) -> int:
     """Most placed vertices with an unplaced neighbour at once, in the
-    frontier dynamic program's placement order."""
+    frontier dynamic programs' placement order."""
     adjacency = [set() for _ in range(g.n)]
     for u, v in g.edges:
         adjacency[u].add(v)
         adjacency[v].add(u)
     placed: set[int] = set()
     widest = 0
-    for v in chromatic._placement_order(g, adjacency):
+    for v, *_ in chromatic._frontier_steps(g):
         placed.add(v)
         widest = max(widest, sum(1 for u in placed if adjacency[u] - placed))
     return widest
@@ -197,6 +199,7 @@ def test_frontier_dp_matches_edge_subsets():
     for g in graphs:
         assert not g.is_forest()
         assert cmf(g) == cmf_by_edge_subsets(g), g
+        assert egdp(g) == egdp_by_vertex_subsets(g), g
 
 
 def test_cycle_csf_gives_the_chromatic_polynomial():
@@ -245,6 +248,7 @@ def test_caps_raise_before_the_forest_dp(monkeypatch):
         raise AssertionError("work started before the cap check")
 
     monkeypatch.setattr(chromatic, "_rooted_forest", no_work)
+    monkeypatch.setattr(chromatic, "_frontier_steps", no_work)
     long_path = path_graph([1] * 32)
     with pytest.raises(CapExceededError, match="^31 edges exceeds the cap of 30$"):
         cmf(long_path)
@@ -254,6 +258,40 @@ def test_caps_raise_before_the_forest_dp(monkeypatch):
         egdp(long_path)
     with pytest.raises(NotApplicableError, match="cycle"):
         beta_table(cycle_graph([1] * 40))  # the forest check comes first
+
+
+def test_egdp_budget_raises_before_the_step_that_could_exceed_it(monkeypatch, capsys, tmp_path):
+    # K_n keeps 2^placed live terms, so a budget of 64 admits K6 and
+    # stops K7 and K8 before their seventh vertex is placed
+    monkeypatch.setattr(chromatic, "EGDP_LIVE_TERMS", 64)
+    k6 = complete_graph([(i % 3 + 1,) for i in range(6)])
+    assert egdp(k6) == egdp_by_vertex_subsets(k6)
+    message = "the EGDP dynamic program may exceed its budget of 64 live terms"
+    k8 = complete_graph([(1,)] * 8)
+    with pytest.raises(CapExceededError, match=f"^{message}$"):
+        egdp(k8)
+    path = tmp_path / "k8.graph"
+    path.write_text(serialize_graph(k8))
+    assert main(["compute", str(path), "--invariant", "egdp"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def _with_a_triangle(g: WeightedGraph) -> WeightedGraph:
+    edges = sorted(set(g.edges) | {(0, 1), (0, 2), (1, 2)})
+    return WeightedGraph(g.n, g.weights, tuple(edges), g.r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2))
+def test_egdp_and_cmf_multiply_over_disjoint_unions_of_cyclic_graphs(seed, r):
+    rng = random.Random(seed)
+    a, b = (_with_a_triangle(random_simple_graph(rng, rng.randint(3, 6), r=r, max_weight=3,
+                                                 density=rng.uniform(0.2, 0.6)))
+            for _ in range(2))
+    union = disjoint_union(a, b)
+    assert egdp(union) == egdp(a) * egdp(b)
+    assert cmf(union) == cmf(a) * cmf(b)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,17 @@ def test_recovery_rejects_non_forests():
         recover_egdp_hopf(cmf(cycle_graph([1, 2, 1])))
 
 
+def test_recovery_rejects_a_w_exponent_below_the_component_count():
+    # recover_stats reads c = 3 off this element, but its convolution has
+    # a term with w^2
+    element = (-2 * p_((2, 1), (1, 5)) + 2 * p_((2, 4), (1, 2))
+               + p_((1, 2), (1, 2), (1, 2)))
+    with pytest.raises(ValueError, match="^negative w-exponents remain after removing the "
+                                         "component factor; the element is not the CMF of "
+                                         "a forest$"):
+        recover_egdp_hopf(element)
+
+
 # ---------------------------------------------------------------------------
 # Trie-kernel evaluations against their definitional routes
 
