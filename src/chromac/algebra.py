@@ -91,10 +91,6 @@ class VectorPartition:
             counts[part] = counts.get(part, 0) + 1
         return counts
 
-    def restrict(self, positions: Iterable[int]) -> VectorPartition:
-        """Sub-partition made of the parts at the given positions."""
-        return VectorPartition(self.width, tuple(self.parts[i] for i in positions))
-
     def concat(self, other: VectorPartition) -> VectorPartition:
         if self.width != other.width:
             raise ValueError("cannot concatenate partitions of different widths")

@@ -6,13 +6,19 @@ weighted graph.  Multiplying CMFs over the parts of a vector partition
 and expanding in the power-sum basis gives a transition matrix; for
 tree-shaped families it is triangular with entries +-1 on the diagonal
 under the canonical partition order, so the family CMFs form a basis.
+
+The CMF is multiplicative over disjoint unions, so the row of a
+partition is the product of its members' CMFs.  `transition_matrix`
+computes one CMF per distinct part, of that part's member alone, and
+multiplies along the trie of the realizable partitions read largest part
+first: partitions that share leading parts share the product over them.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .algebra import MacMahonElement, VectorPartition, partitions_of
+from .algebra import Vector, VectorPartition, add_product
 from .chromatic import cmf
 from .graphs import (WeightedGraph, connected_components, disjoint_union,
                      single_vertex, star_graph)
@@ -36,14 +42,32 @@ def realizable_partitions(multidegree: tuple[int, int]) -> list[VectorPartition]
     """Vector partitions of (N, W) whose parts (n_i, w_i) all satisfy
     w_i >= n_i >= 1, i.e. are sizes and weights of connected weighted
     graphs.  Sorted by length, then lexicographically; every subset type
-    of every graph of this multidegree is such a partition."""
+    of every graph of this multidegree is such a partition.
+
+    Parts are chosen largest first, each at most the one before, and only
+    where what remains stays realizable: a part's excess w_i - n_i is at
+    most the excess of what is left of (N, W)."""
     n, w = multidegree
     if n < 0 or w < 0:
         raise ValueError("multidegree coordinates must be >= 0")
-    if n == 0 or w < n:
-        return []
-    found = [p for p in partitions_of((n, w), positive_parts=True)
-             if all(part[1] >= part[0] for part in p.parts)]
+    found: list[VectorPartition] = []
+    parts: list[Vector] = []
+
+    def extend(size: int, weight: int, largest: Vector) -> None:
+        if not size:
+            found.append(VectorPartition.from_canonical(2, tuple(parts)))
+            return
+        excess = weight - size
+        for a in range(min(size, largest[0]), 0, -1):
+            top = min(largest[1], a + excess) if a == largest[0] else a + excess
+            bottom = a + excess if a == size else a  # the last part takes the rest
+            for b in range(top, bottom - 1, -1):
+                parts.append((a, b))
+                extend(size - a, weight - b, (a, b))
+                parts.pop()
+
+    if n and w >= n:
+        extend(n, w, (n, w))
     return sorted(found, key=VectorPartition.sort_key)
 
 
@@ -68,18 +92,49 @@ def transition_matrix(family: Family, multidegree: tuple[int, int]) -> list[list
 
     Row i holds the coefficients of cmf(family graph of partition i) on
     the realizable partitions of the multidegree, in canonical order.
-    """
+
+    A partition is a packed code with one multiplicity digit per distinct
+    part, as in the forest CMF, so multiplying CMFs adds codes.  Each
+    distinct part's member CMF is computed once, in the order the rows
+    first use it.  The rows are then walked with their parts descending,
+    keeping a stack of prefix products: a row reuses the products over
+    the leading parts it shares with the row before and multiplies in
+    only its other parts."""
     index = realizable_partitions(multidegree)
-    position = {p: j for j, p in enumerate(index)}
-    matrix: list[list[int]] = []
+    digit = multidegree[0].bit_length()  # room for every multiplicity
+    shifts: dict[Vector, int] = {}  # part -> shift of its multiplicity digit
+
+    def code(partition: VectorPartition) -> int:
+        return sum(1 << shifts.setdefault(part, digit * len(shifts)) for part in partition.parts)
+
+    column = {code(p): j for j, p in enumerate(index)}
+    members: dict[Vector, dict[int, int]] = {}
     for partition in index:
-        element: MacMahonElement = cmf(family_graph(family, partition))
-        row = [0] * len(index)
-        for support, coeff in element.terms.items():
-            if support not in position:
-                raise RuntimeError(f"CMF support {support} outside the realizable partitions")
-            row[position[support]] = coeff
-        matrix.append(row)
+        for part in partition.parts:
+            if part not in members:
+                member = cmf(family_graph(family, VectorPartition.from_canonical(2, (part,))))
+                members[part] = {code(p): c for p, c in member.terms.items()}
+    matrix = [[0] * len(index) for _ in index]
+    path: list[Vector] = []
+    products: list[dict[int, int]] = [{0: 1}]  # products[d]: over path[:d]
+    for i in sorted(range(len(index)), key=lambda i: index[i].parts, reverse=True):
+        parts = index[i].parts
+        shared = 0
+        limit = min(len(path), len(parts))
+        while shared < limit and path[shared] == parts[shared]:
+            shared += 1
+        del path[shared:], products[shared + 1:]
+        for part in parts[shared:]:
+            path.append(part)
+            products.append(add_product({}, products[-1], members[part]))
+        for support, coeff in products[-1].items():
+            if support in column:
+                matrix[i][column[support]] = coeff
+            elif coeff:
+                parts_at = [part for part, shift in shifts.items()
+                            for _ in range(support >> shift & (1 << digit) - 1)]
+                raise RuntimeError(f"CMF support {VectorPartition(2, tuple(parts_at))} "
+                                   "outside the realizable partitions")
     return matrix
 
 

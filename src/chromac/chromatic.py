@@ -36,6 +36,7 @@ DEFAULT_MAX_EDGES = 30
 DEFAULT_MAX_VERTICES = 25
 DEFAULT_MAX_COLORINGS = 10 ** 7
 EGDP_LIVE_TERMS = 1 << 19  # (frontier bits, exponent) terms of the EGDP dynamic program
+CMF_LIVE_STATES = 1 << 19  # states of the CMF frontier dynamic program being built
 
 
 def cmf(g: WeightedGraph, max_edges: int = DEFAULT_MAX_EDGES) -> MacMahonElement:
@@ -187,7 +188,9 @@ def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     sign is (-1)^(placed vertices - components), its count stays positive
     and `cmf` signs it.  A vertex leaves the frontier once all its
     neighbours are placed, and a component with no frontier vertex left
-    closes.
+    closes.  The states of a placement count against the budget
+    `CMF_LIVE_STATES`, checked before each state's moves, so it is passed
+    by at most the moves of one state.
     """
     radix = max(g.n, *g.total_weight) + 1
     width = g.r + 1
@@ -199,6 +202,9 @@ def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
         moves: dict[tuple[int, ...], list[_Move]] = {}
         placed: dict[tuple, int] = {}
         for (closed, labels, codes), count in states.items():
+            if len(placed) > CMF_LIVE_STATES:
+                raise CapExceededError(
+                    f"the CMF dynamic program exceeds its budget of {CMF_LIVE_STATES} live states")
             plan = moves.get(labels)
             if plan is None:
                 plan = moves[labels] = _frontier_moves(labels, touching, staying)

@@ -1,8 +1,9 @@
 """Hopf structure on the power-sum basis and convolution-based recovery.
 
 The coproduct splits the parts of a basis symbol over all position
-subsets, the antipode rescales by (-1)^length, and linear functionals
-into a Laurent ring can be convolved through the coproduct.  The
+subsets, grouped by how many copies of each distinct part go left, the
+antipode rescales by (-1)^length, and linear functionals into a Laurent
+ring can be convolved through the coproduct.  The
 counting functional sends a basis symbol of multidegree (n, w) and
 length l to t^n (1-u)^(n-l) v^w; on the CMF of a forest with e edges
 this collapses to the single monomial t^n u^e v^w, which is what makes
@@ -22,6 +23,7 @@ is expanded once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,16 +35,28 @@ from .chromatic import egdp_variables
 
 
 def coproduct(element: MacMahonElement) -> TensorElement:
-    """Split each basis symbol over all subsets of its part positions."""
+    """Split each basis symbol over all subsets of its part positions.
+
+    Subsets that take the same number k_i of the m_i copies of each
+    distinct part give the same tensor, so each choice of counts is one
+    term with coefficient prod C(m_i, k_i).  Both sides keep the parts in
+    descending order, so they are built without re-sorting."""
     terms: dict[tuple[VectorPartition, VectorPartition], int] = {}
+    width = element.width
     for partition, coeff in element.terms.items():
-        length = partition.length
-        for mask in range(1 << length):
-            left = partition.restrict(i for i in range(length) if mask >> i & 1)
-            right = partition.restrict(i for i in range(length) if not mask >> i & 1)
-            key = (left, right)
-            terms[key] = terms.get(key, 0) + coeff
-    return TensorElement(element.width, terms)
+        groups = list(partition.multiplicities().items())  # parts descending
+        for counts in itertools.product(*(range(m + 1) for _, m in groups)):
+            left: tuple[Vector, ...] = ()
+            right: tuple[Vector, ...] = ()
+            ways = coeff
+            for (part, m), k in zip(groups, counts):
+                left += (part,) * k
+                right += (part,) * (m - k)
+                ways *= math.comb(m, k)
+            key = (VectorPartition.from_canonical(width, left),
+                   VectorPartition.from_canonical(width, right))
+            terms[key] = terms.get(key, 0) + ways
+    return TensorElement(width, terms)
 
 
 def antipode(element: MacMahonElement) -> MacMahonElement:

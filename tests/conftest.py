@@ -3,8 +3,8 @@ corpus, weight patterns for exhaustive tree sweeps, the binomial,
 tensor-product and counting-functional helpers that only tests use,
 Hopf-axiom checkers used by both the unit and acceptance suites, and
 definitional oracles for the CMF and EGDP dynamic programs, the packed
-truncation, the trie-kernel Hopf evaluations and the explicit recovery
-route."""
+truncation, the grouped coproduct, the trie-kernel Hopf evaluations, the
+explicit recovery route and the trie-product transition matrices."""
 
 from __future__ import annotations
 
@@ -17,10 +17,12 @@ import pytest
 
 from chromac import (LaurentPolynomial, LinearFunctional, MacMahonElement,
                      NotApplicableError, TensorElement, VectorPartition,
-                     WeightedGraph, antipode, component_type, convolve,
+                     WeightedGraph, antipode, cmf, component_type, convolve,
                      coproduct, counterexample_pair, cycle_graph,
-                     egdp_variables, ext_int_counts, partitions_of,
-                     path_graph, star_graph, truncation_variables)
+                     egdp_variables, ext_int_counts, family_graph,
+                     partitions_of, path_graph, realizable_partitions,
+                     star_graph, truncation_variables)
+from chromac.bases import Family
 from chromac.hopf import counting_variables
 
 
@@ -172,6 +174,24 @@ def counting_functional(t: LaurentPolynomial | int, u: LaurentPolynomial | int,
         return value
 
     return LinearFunctional(names, rule)
+
+
+# ---------------------------------------------------------------------------
+# Definitional oracle for the grouped coproduct
+
+
+def coproduct_by_positions(element: MacMahonElement) -> TensorElement:
+    """coproduct by definition: each basis symbol split over all 2^length
+    subsets of its part positions, one term per subset."""
+    terms: dict[tuple[VectorPartition, VectorPartition], int] = {}
+    for partition, coeff in element.terms.items():
+        parts, width = partition.parts, partition.width
+        for mask in range(1 << len(parts)):
+            left = VectorPartition(width, tuple(p for i, p in enumerate(parts) if mask >> i & 1))
+            right = VectorPartition(width, tuple(p for i, p in enumerate(parts) if not mask >> i & 1))
+            key = (left, right)
+            terms[key] = terms.get(key, 0) + coeff
+    return TensorElement(element.width, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +452,25 @@ def recover_egdp_explicit_per_type(table: dict[VectorPartition, int], n: int,
         raise ValueError(f"reconstructed coefficients sum to {total}, expected 2^{n}; "
                          "the table is not a forest subset-type table for these parameters")
     return LaurentPolynomial(("w", "x", "y", "z"), terms)
+
+
+# ---------------------------------------------------------------------------
+# Definitional oracle for the trie-product transition matrices
+
+
+def transition_matrix_by_family_graphs(family: Family,
+                                       multidegree: tuple[int, int]) -> list[list[int]]:
+    """transition_matrix by definition: one disjoint-union family graph
+    per realizable partition, and the CMF of each as its row."""
+    index = realizable_partitions(multidegree)
+    position = {p: j for j, p in enumerate(index)}
+    matrix: list[list[int]] = []
+    for partition in index:
+        element = cmf(family_graph(family, partition))
+        row = [0] * len(index)
+        for support, coeff in element.terms.items():
+            if support not in position:
+                raise RuntimeError(f"CMF support {support} outside the realizable partitions")
+            row[position[support]] = coeff
+        matrix.append(row)
+    return matrix

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from chromac import (VectorPartition, WeightedGraph, cmf, cycle_graph,
-                     family_graph, is_triangular_with_unit_diagonal,
-                     matrix_to_text, path_graph, realizable_partitions,
+from chromac import (CapExceededError, MacMahonElement, VectorPartition,
+                     WeightedGraph, bases, cmf, cycle_graph, family_graph,
+                     is_triangular_with_unit_diagonal, matrix_to_text,
+                     partitions_of, path_graph, realizable_partitions,
                      single_vertex, star_family, transition_matrix)
+
+from conftest import transition_matrix_by_family_graphs
 
 
 def vp(*parts):
@@ -18,6 +21,12 @@ def path_family(n: int, w: int) -> WeightedGraph:
     if w < n:
         raise ValueError("total weight below vertex count")
     return path_graph([w - n + 1] + [1] * (n - 1))
+
+
+def cycle_family(n: int, w: int) -> WeightedGraph:
+    if n >= 3:
+        return cycle_graph([w - n + 1] + [1] * (n - 1))
+    return star_family(n, w)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +60,15 @@ def test_realizable_partitions_small():
         vp((3, 4)),
         vp((2, 2), (1, 2)), vp((2, 3), (1, 1)),
         vp((1, 2), (1, 1), (1, 1))]
+
+
+def test_realizable_partitions_are_the_filtered_positive_partitions():
+    for n in range(1, 10):
+        for w in range(1, 13):
+            expected = [p for p in partitions_of((n, w), positive_parts=True)
+                        if all(part[1] >= part[0] for part in p.parts)]
+            assert realizable_partitions((n, w)) == sorted(
+                expected, key=VectorPartition.sort_key), (n, w)
 
 
 def test_realizable_partitions_empty_cases():
@@ -114,14 +132,64 @@ def test_transition_matrices_triangular():
                 assert is_triangular_with_unit_diagonal(matrix), (family, n, w)
 
 
+def test_transition_matrices_match_the_per_row_family_graphs():
+    for family in (star_family, path_family, cycle_family):
+        for n in range(1, 8):
+            for w in range(1, 11):
+                assert transition_matrix(family, (n, w)) == \
+                    transition_matrix_by_family_graphs(family, (n, w)), (family, n, w)
+
+
+def test_transition_matrix_computes_one_cmf_per_distinct_part(monkeypatch):
+    calls = []
+
+    def counting_cmf(g, *args, **kwargs):
+        calls.append(g.n)
+        return cmf(g, *args, **kwargs)
+
+    monkeypatch.setattr(bases, "cmf", counting_cmf)
+    index = realizable_partitions((7, 10))
+    parts = {part for p in index for part in p.parts}
+    transition_matrix(star_family, (7, 10))
+    assert len(calls) == len(parts) == 25
+    assert len(index) == 94
+
+
+def test_transition_matrix_keeps_the_star_family_edge_cap():
+    # the first row is the 32-vertex star itself
+    with pytest.raises(CapExceededError, match="^31 edges exceeds the cap of 30$"):
+        transition_matrix(star_family, (32, 32))
+
+
+def test_transition_matrix_rejects_support_outside_the_index(monkeypatch):
+    def bad_cmf(g):
+        if g.n == 1:
+            return MacMahonElement.power_sum(VectorPartition.of([(1, 0), (0, 1)]))
+        return cmf(g)
+
+    monkeypatch.setattr(bases, "cmf", bad_cmf)
+    with pytest.raises(RuntimeError, match=r"^CMF support \[\(1,0\),\(1,0\),\(0,1\),\(0,1\)\] "
+                                           "outside the realizable partitions$"):
+        transition_matrix(star_family, (2, 2))
+
+
+@pytest.mark.parametrize("family, multidegree, message", [
+    (lambda n, w: star_family(n, w + (n == 1)), (3, 4), r"part \(1,2\) has 1 vertices"),
+    (lambda n, w: WeightedGraph(n, ((w - n + 1,),) + ((1,),) * (n - 1), ()) if n == 2
+     else star_family(n, w), (4, 5), r"part \(2,3\) is not connected"),
+    (lambda n, w: single_vertex((w, 1)) if n == 1 else star_family(n, w), (2, 2), "scalar"),
+])
+def test_transition_matrix_validates_members_as_the_per_row_oracle(family, multidegree, message):
+    with pytest.raises(ValueError, match=message) as raised:
+        transition_matrix(family, multidegree)
+    with pytest.raises(ValueError) as expected:
+        transition_matrix_by_family_graphs(family, multidegree)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_cycle_family_is_not_a_basis():
     # a connected non-tree member picks up extra spanning subgraphs:
     # the triangle's full-support coefficient is 2, not a unit
-    def cycle_family(n: int, w: int) -> WeightedGraph:
-        if n >= 3:
-            return cycle_graph([w - n + 1] + [1] * (n - 1))
-        return star_family(n, w)
-
     matrix = transition_matrix(cycle_family, (3, 3))
     assert matrix[0][0] == 2
     assert not is_triangular_with_unit_diagonal(matrix)

@@ -277,6 +277,59 @@ def test_egdp_budget_raises_before_the_step_that_could_exceed_it(monkeypatch, ca
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+def test_cmf_budget_raises_once_the_states_pass_it(monkeypatch, capsys, tmp_path):
+    # a budget of 32 states admits C6 and K5 and stops K6 and the 3x3 grid
+    monkeypatch.setattr(chromatic, "CMF_LIVE_STATES", 32)
+    for g in (cycle_graph([1, 2, 3, 1, 2, 3]), complete_graph([(i % 3 + 1,) for i in range(5)])):
+        assert cmf(g) == cmf_by_edge_subsets(g)
+    grid = WeightedGraph(9, tuple((v % 3 + 1,) for v in range(9)),
+                         tuple(sorted([(v, v + 1) for v in range(9) if v % 3 < 2]
+                                      + [(v, v + 3) for v in range(6)])))
+    message = "the CMF dynamic program exceeds its budget of 32 live states"
+    for g in (complete_graph([(1,)] * 6), grid):
+        with pytest.raises(CapExceededError, match=f"^{message}$"):
+            cmf(g)
+    path = tmp_path / "grid.graph"
+    path.write_text(serialize_graph(grid))
+    assert main(["compute", str(path), "--invariant", "cmf"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def _lift(g: WeightedGraph) -> WeightedGraph:
+    """The graph with a leading weight coordinate 1 per vertex, so that
+    the weights of a vertex set carry its size."""
+    return WeightedGraph(g.n, tuple((1, *w) for w in g.weights), g.edges, g.r + 1)
+
+
+def _contract(g: WeightedGraph, edge: tuple[int, int]) -> WeightedGraph:
+    """G / e: the ends u < v of e become vertex u with the sum of their
+    weights, e goes and parallel edges merge."""
+    u, v = edge
+    label = [u if x == v else x - (x > v) for x in range(g.n)]
+    weights = [list(w) for x, w in enumerate(g.weights) if x != v]
+    weights[u] = [a + b for a, b in zip(g.weights[u], g.weights[v])]
+    edges = {tuple(sorted((label[a], label[b]))) for a, b in g.edges if (a, b) != edge}
+    return WeightedGraph(g.n - 1, tuple(map(tuple, weights)), tuple(sorted(edges)), g.r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2))
+def test_cmf_deletion_contraction(seed, r):
+    # cmf(G) = cmf(G - e) - cmf(G / e), where the contracted vertex counts
+    # as two vertices: the size travels as a weight coordinate of the lift
+    # and specialize_csf drops the size coordinate of the lifted CMF
+    rng = random.Random(seed)
+    g = random_simple_graph(rng, rng.randint(2, 6), r=r, max_weight=3,
+                            density=rng.uniform(0.3, 0.8))
+    if not g.edges:
+        g = WeightedGraph(g.n, g.weights, ((0, 1),), g.r)
+    edge = rng.choice(g.edges)
+    deleted = WeightedGraph(g.n, g.weights, tuple(e for e in g.edges if e != edge), g.r)
+    assert specialize_csf(cmf(_lift(g)), "weight") == cmf(g)
+    assert cmf(g) == cmf(deleted) - specialize_csf(cmf(_contract(_lift(g), edge)), "weight")
+
+
 def _with_a_triangle(g: WeightedGraph) -> WeightedGraph:
     edges = sorted(set(g.edges) | {(0, 1), (0, 2), (1, 2)})
     return WeightedGraph(g.n, g.weights, tuple(edges), g.r)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import os
 import shutil
@@ -194,6 +195,17 @@ def test_bases_check_shows_matrices(capsys):
 
 # ---------------------------------------------------------------------------
 # random-forest
+
+
+@pytest.mark.parametrize("show, digest", [
+    ((), "8db76a260c6700bf8f1bb58551c3742e43cc874c72f9a9de570d243dc00f79b7"),
+    (("--show-matrices",), "cbe43d5576f5a255900bcae5e834bcf3a2c37104ac4e6d6f85d48aba4e5917c5"),
+])
+def test_bases_check_golden(capsys, show, digest):
+    # digests of the output of the one-graph-per-row transition matrices
+    code, out, err = run(capsys, "bases", "check", "--n-max", "7", "--weight-max", "10", *show)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_random_forest_deterministic(capsys):

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from chromac import (LaurentPolynomial, LinearFunctional, MacMahonElement,
                      TensorElement, VectorPartition, WeightedGraph, antipode,
                      cmf, convolve, coproduct, cycle_graph, egdp,
-                     egdp_convolution, path_graph, random_forest,
-                     recover_egdp_explicit, recover_egdp_hopf, recover_stats,
-                     single_vertex, symbolic_counting_image)
+                     egdp_convolution, partitions_of, path_graph,
+                     random_forest, recover_egdp_explicit, recover_egdp_hopf,
+                     recover_stats, single_vertex, symbolic_counting_image)
 
-from conftest import (antipode_convolution, coproduct_respects_product,
-                      counit, counting_functional,
+from conftest import (antipode_convolution, coproduct_by_positions,
+                      coproduct_respects_product, counit, counting_functional,
                       counting_image_by_functional, double_coproduct_left,
                       double_coproduct_right, egdp_convolution_by_coproduct,
                       random_element, recover_egdp_explicit_per_type,
@@ -69,6 +69,21 @@ def test_coproduct_is_linear():
     for _ in range(10):
         a, b = random_element(rng), random_element(rng)
         assert coproduct(a + b) == coproduct(a) + coproduct(b)
+
+
+def test_coproduct_matches_the_position_subsets():
+    # every basis element that acceptance 4 checks the Hopf axioms on
+    elements = [MacMahonElement.one(2)]
+    for a in range(5):
+        for b in range(7):
+            if (a, b) != (0, 0):
+                elements.extend(MacMahonElement.power_sum(p)
+                                for p in partitions_of((a, b), positive_parts=False))
+    rng = random.Random(83)
+    elements.extend(random_element(rng, width=width, max_terms=4, max_coord=1)
+                    for width in (1, 2, 3) for _ in range(50))
+    for element in elements:
+        assert coproduct(element) == coproduct_by_positions(element), element
 
 
 def test_antipode_signs():
