@@ -11,14 +11,17 @@ sparsely with exact integer coefficients.
 Every map that is multiplicative over parts (the truncation here, the
 convolution of two counting functionals and the explicit recovery
 formula) is evaluated by one kernel, `character_sum`, on polynomials
-whose exponent vectors are packed into integers.
+whose exponent vectors are packed into integers, and both recovery
+routes expand their powers of (1 - u) with `_one_minus_u_power`.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 Vector = tuple[int, ...]
 Exponents = tuple[int, ...]
@@ -125,24 +128,8 @@ def partitions_of(target: Iterable[int], positive_parts: bool = True) -> list[Ve
     if cached is not None:
         return list(cached)
     width = len(goal)
-
-    ranges = [range(c, -1, -1) for c in goal]
-
-    def candidates() -> Iterator[Vector]:
-        def rec(prefix: tuple[int, ...]) -> Iterator[Vector]:
-            if len(prefix) == width:
-                yield prefix
-                return
-            for c in ranges[len(prefix)]:
-                yield from rec(prefix + (c,))
-
-        for vec in rec(()):
-            if positive_parts and not all(c >= 1 for c in vec):
-                continue
-            if any(vec):
-                yield vec
-
-    pool = list(candidates())
+    pool = [vec for vec in itertools.product(*(range(c, -1, -1) for c in goal))
+            if any(vec) and (all(vec) or not positive_parts)]
     results: list[VectorPartition] = []
 
     def extend(remaining: Vector, start: int, acc: list[Vector]) -> None:
@@ -193,6 +180,14 @@ def add_product(total: dict[int, int], a: dict[int, int], b: dict[int, int]) -> 
             code = code_a + code_b
             total[code] = get(code, 0) + count_a * count_b
     return total
+
+
+def _one_minus_u_power(k: int) -> list[int]:
+    """Coefficients of u^0, ..., u^k in (1 - u)^k.  A negative k raises
+    what LaurentPolynomial.__pow__ raises for (1 - u) ** k."""
+    if k < 0:
+        raise ValueError("negative powers only for unit monomials")
+    return [-math.comb(k, i) if i & 1 else math.comb(k, i) for i in range(k + 1)]
 
 
 def character_sum(terms: dict[VectorPartition, int],
@@ -498,13 +493,8 @@ class MacMahonElement:
     def to_text(self) -> str:
         if not self.terms:
             return "0"
-        lines = []
-        for partition in self.support():
-            coeff = self.terms[partition]
-            inner = ",".join("(" + ",".join(str(c) for c in part) + ")"
-                             for part in partition.parts)
-            lines.append(f"{coeff:+d} * p[{inner}]")
-        return "\n".join(lines)
+        return "\n".join(f"{self.terms[partition]:+d} * p{partition}"
+                         for partition in self.support())
 
     def __str__(self) -> str:
         return self.to_text()
@@ -561,13 +551,8 @@ class TensorElement:
     def to_text(self) -> str:
         if not self.terms:
             return "0"
-
-        def fmt(p: VectorPartition) -> str:
-            inner = ",".join("(" + ",".join(str(c) for c in part) + ")" for part in p.parts)
-            return f"p[{inner}]"
-
         keys = sorted(self.terms, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
-        return "\n".join(f"{self.terms[k]:+d} * {fmt(k[0])} (x) {fmt(k[1])}" for k in keys)
+        return "\n".join(f"{self.terms[k]:+d} * p{k[0]} (x) p{k[1]}" for k in keys)
 
     def __str__(self) -> str:
         return self.to_text()

@@ -11,14 +11,15 @@ The extended generalized degree polynomial (EGDP) records, for every
 vertex subset A, the external edge count, cardinality, weight and
 internal edge count of A as a monomial w^ext x^|A| y^weight z^int.
 
-On a forest the CMF comes from a dynamic program over each rooted tree,
-which merges every child into its parent, so its cost follows the number
-of distinct partial results rather than 2^e edge subsets; a forest's
-subset-type table (beta) is read off its CMF.  The CMF of a graph with a
-cycle and the EGDP of every graph come from frontier dynamic programs
-that place the vertices one at a time along one walk: the CMF's keeps,
-per state, the components that are still open, the EGDP's the in/out
-bits of the placed vertices that still have an unplaced neighbour.
+On a forest the CMF comes from a dynamic program over each tree, rooted
+by the walk that all three graph dynamic programs share, which merges
+every child into its parent, so its cost follows the number of distinct
+partial results rather than 2^e edge subsets; a forest's subset-type
+table (beta) is read off its CMF.  The CMF of a graph with a cycle and
+the EGDP of every graph come from frontier dynamic programs that place
+the vertices one at a time along that walk: the CMF's keeps, per state,
+the components that are still open, the EGDP's the in/out bits of the
+placed vertices that still have an unplaced neighbour.
 """
 
 from __future__ import annotations
@@ -70,32 +71,6 @@ def beta_table(g: WeightedGraph, max_edges: int = DEFAULT_MAX_EDGES) -> dict[Vec
     return {partition: abs(coeff) for partition, coeff in cmf(g, max_edges).terms.items()}
 
 
-def _rooted_forest(g: WeightedGraph) -> list[tuple[int, int]]:
-    """(vertex, parent) pairs of a forest, breadth first from the smallest
-    vertex of each tree, so that every vertex comes after its parent.
-    Every tree root hangs off a virtual vertex g.n."""
-    adjacency: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    order: list[tuple[int, int]] = []
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        i = len(order)
-        order.append((root, g.n))
-        while i < len(order):
-            v = order[i][0]
-            i += 1
-            for u in adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    order.append((u, v))
-    return order
-
-
 def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     """Number of edge subsets of a forest per component type, by dynamic
     programming over each rooted tree.
@@ -108,7 +83,10 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     Merging a child into its parent, the edge between them is either in
     the subset (the open codes add) or not (the child's open component
     closes).  Tree roots merge into a virtual vertex with an empty open
-    component, always without the edge.
+    component, always without the edge.  The trees are rooted by the walk
+    `_frontier_steps`, which grows each tree from its smallest vertex, so
+    every vertex has at most one placed neighbour, its parent, and comes
+    after it; children merge in reverse walk order.
     """
     radix = max(g.n, *g.total_weight) + 1
     width = g.r + 1
@@ -118,7 +96,8 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     shifts: dict[int, int] = {}  # code of a closed component -> shift of its digit
     states = [{pack((1, *w), radix): 1} for w in g.weights]
     states.append({0: 1})
-    for v, parent in reversed(_rooted_forest(g)):
+    for v, frontier, touching, _ in reversed(list(_frontier_steps(g))):
+        parent = frontier[touching[0]] if touching else g.n
         child = states[v]
         offers = dict(child) if parent < g.n else {}
         for state, count in child.items():
@@ -132,8 +111,8 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
 
 
 def _frontier_steps(g: WeightedGraph) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
-    """The walk of both frontier dynamic programs: all vertices, one at a
-    time, each next one the unplaced vertex with the most placed
+    """The walk of all three graph dynamic programs: all vertices, one at
+    a time, each next one the unplaced vertex with the most placed
     neighbours, ties to the smaller index, so that the frontier (the placed
     vertices that still have an unplaced neighbour) stays narrow.
 
@@ -158,10 +137,10 @@ def _frontier_steps(g: WeightedGraph) -> Iterator[tuple[int, list[int], list[int
             if not placed[u]:
                 placed_neighbours[u] += 1
                 heapq.heappush(heap, (-placed_neighbours[u], u))
-    step_of = [0] * g.n
+    last = [-1] * g.n  # the step that places each vertex's last neighbour
     for step, v in enumerate(order):
-        step_of[v] = step
-    last = [max((step_of[u] for u in adjacency[v]), default=-1) for v in range(g.n)]
+        for u in adjacency[v]:
+            last[u] = step
     frontier: list[int] = []
     for step, v in enumerate(order):
         frontier.append(v)

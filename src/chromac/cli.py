@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--mode", choices=["exhaustive", "random"], default="random")
     verify.add_argument("--n-max", type=_int_at_least(1), default=5)
     verify.add_argument("--weight-max", type=_int_at_least(1), default=2)
-    verify.add_argument("--r", type=int, default=1)
+    verify.add_argument("--r", type=_int_at_least(1), default=1)
     verify.add_argument("--trials", type=_int_at_least(1), default=100)
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=cmd_verify)
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     forest = sub.add_parser("random-forest", help="emit a random weighted forest")
     forest.add_argument("--n", type=_int_at_least(0), required=True)
     forest.add_argument("--max-weight", type=_int_at_least(1), default=4)
-    forest.add_argument("--r", type=int, default=1)
+    forest.add_argument("--r", type=_int_at_least(1), default=1)
     forest.add_argument("--seed", type=int, default=0)
     forest.set_defaults(func=cmd_random_forest)
 

@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .algebra import (LaurentPolynomial, MacMahonElement, TensorElement,
-                      Vector, VectorPartition, add_product, character_sum,
+from .algebra import (LaurentPolynomial, MacMahonElement, TensorElement, Vector,
+                      VectorPartition, _one_minus_u_power, add_product, character_sum,
                       pack, unpack)
 from .chromatic import egdp_variables
 
@@ -112,14 +112,6 @@ def counting_variables(width: int) -> tuple[str, ...]:
     if r == 1:
         return ("t", "u", "v")
     return ("t", "u", *(f"v{i}" for i in range(1, r + 1)))
-
-
-def _one_minus_u_power(k: int) -> list[int]:
-    """Coefficients of u^0, ..., u^k in (1 - u)^k.  A negative k raises
-    what LaurentPolynomial.__pow__ raises for (1 - u) ** k."""
-    if k < 0:
-        raise ValueError("negative powers only for unit monomials")
-    return [-math.comb(k, i) if i & 1 else math.comb(k, i) for i in range(k + 1)]
 
 
 def symbolic_counting_image(element: MacMahonElement) -> LaurentPolynomial:

@@ -13,10 +13,8 @@ counts of all types at once with the trie kernel `character_sum`.
 
 from __future__ import annotations
 
-import math
-
-from .algebra import (LaurentPolynomial, VectorPartition, add_product, character_sum, pack,
-                      unpack)
+from .algebra import (LaurentPolynomial, VectorPartition, _one_minus_u_power, add_product,
+                      character_sum, pack, unpack)
 from .errors import NotApplicableError
 
 
@@ -45,7 +43,8 @@ def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
     def image(part: tuple[int, ...]) -> dict[int, int]:
         return {one_part: 1, one_part + pack((0, 1, *part), radix): 1}
 
-    # packed (a, 0, 0, d) -> signed binomials, per (inside_top, outside_top)
+    # per (inside_top, outside_top): the terms w^a z^d with a >= 0 of
+    # w^e (1 - z/w)^inside_top (1 - 1/w)^outside_top, packed (a, 0, 0, d)
     expansions: dict[tuple[int, int], dict[int, int]] = {}
     grid: dict[int, int] = {}  # packed (a, b, c, d), in lexicographic order
     for stats, weight in character_sum(signed, image).items():
@@ -57,11 +56,9 @@ def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
         expansion = expansions.get((inside_top, outside_top))
         if expansion is None:
             expansion = expansions[inside_top, outside_top] = {
-                pack((a, 0, 0, d), radix):
-                    math.comb(inside_top, d) * math.comb(outside_top, e - a - d)
-                    * (-1 if (e - a) & 1 else 1)
-                for d in range(0, min(e, inside_top) + 1)
-                for a in range(max(0, e - d - outside_top), e - d + 1)}
+                pack((e - i - j, 0, 0, i), radix): ci * cj
+                for i, ci in enumerate(_one_minus_u_power(inside_top))
+                for j, cj in enumerate(_one_minus_u_power(outside_top)) if i + j <= e}
         add_product(grid, {pack((0, b0, c0, 0), radix): weight}, expansion)
     terms: dict[tuple[int, ...], int] = {}
     total = 0

@@ -133,6 +133,13 @@ def test_forest_dp_matches_subset_oracles():
         assert egdp(g) == egdp_by_vertex_subsets(g), g
         # the frontier dynamic program handles forests too
         assert chromatic._frontier_type_counts(g) == chromatic._forest_type_counts(g), g
+        # the forest one roots each tree by the walk: every step touches at
+        # most one placed neighbour, its parent, placed before it
+        placed: list[int] = []
+        for v, frontier, touching, _ in chromatic._frontier_steps(g):
+            assert len(touching) <= 1 and all(frontier[i] in placed for i in touching), g
+            placed.append(v)
+        assert sorted(placed) == list(range(g.n)), g
 
 
 def test_cyclic_sweeps_match_subset_oracles():
@@ -247,7 +254,6 @@ def test_caps_raise_before_the_forest_dp(monkeypatch):
     def no_work(g):
         raise AssertionError("work started before the cap check")
 
-    monkeypatch.setattr(chromatic, "_rooted_forest", no_work)
     monkeypatch.setattr(chromatic, "_frontier_steps", no_work)
     long_path = path_graph([1] * 32)
     with pytest.raises(CapExceededError, match="^31 edges exceeds the cap of 30$"):

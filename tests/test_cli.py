@@ -299,6 +299,24 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
     assert "must be >=" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "exhaustive", "--r", "-1"],
+    ["verify", "--r", "0"],
+    ["random-forest", "--n", "3", "--r", "0"],
+])
+def test_weight_dimension_below_one_is_a_usage_error(argv):
+    """--r below 1 is rejected by argparse, in a fresh interpreter, so an
+    uncaught exception would show as a traceback on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", "import sys; from chromac.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""  # so no RESULT line either
+    assert "Traceback" not in proc.stderr
+    assert "--r: must be >= 1" in proc.stderr
+
+
 def test_zero_truncation_and_empty_forest_stay_valid(capsys, edge_file):
     code, out, _ = run(capsys, "compute", edge_file, "--invariant", "cmf", "--truncate", "0")
     assert code == 0

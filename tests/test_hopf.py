@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 
 from chromac import (LaurentPolynomial, LinearFunctional, MacMahonElement,
                      TensorElement, VectorPartition, WeightedGraph, antipode,
-                     cmf, convolve, coproduct, cycle_graph, egdp,
+                     beta_table, cmf, convolve, coproduct, cycle_graph, egdp,
                      egdp_convolution, partitions_of, path_graph,
                      random_forest, recover_egdp_explicit, recover_egdp_hopf,
                      recover_stats, single_vertex, symbolic_counting_image)
 
-from conftest import (antipode_convolution, coproduct_by_positions,
+from conftest import (antipode_convolution, cmf_by_edge_subsets, coproduct_by_positions,
                       coproduct_respects_product, counit, counting_functional,
                       counting_image_by_functional, double_coproduct_left,
                       double_coproduct_right, egdp_convolution_by_coproduct,
-                      random_element, recover_egdp_explicit_per_type,
+                      random_element, random_simple_graph, recover_egdp_explicit_per_type,
                       tensor_product, truncate_by_products)
 
 
@@ -130,6 +130,26 @@ def test_antipode_law_small():
         element = random_element(rng)
         expected = counit(element) * MacMahonElement.one(2)
         assert antipode_convolution(element) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 7), st.integers(1, 2), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_cmf_antipode(n, r, forest, seed):
+    # Stanley's broken-circuit sign, the premise of both CMF dynamic
+    # programs' unsigned counts: (-1)^n S(cmf(G)) has positive coefficients
+    rng = random.Random(seed)
+    if forest:
+        g = random_forest(n, max_weight=3, r=r, seed=seed)
+    else:  # at most 12 edges keep the 2^e oracle small
+        g = random_simple_graph(rng, n, r=r, max_weight=3, density=rng.uniform(0.3, 0.8))
+        g = WeightedGraph(n, g.weights, g.edges[:12], r)
+    element = cmf(g)
+    signed = antipode(cmf_by_edge_subsets(g)) * (-1) ** n
+    assert all(coeff > 0 for coeff in signed.terms.values())
+    assert signed == antipode(element) * (-1) ** n
+    if g.is_forest():
+        assert signed == MacMahonElement(r + 1, beta_table(g))
+    assert antipode_convolution(element) == counit(element) * MacMahonElement.one(r + 1)
 
 
 # ---------------------------------------------------------------------------
