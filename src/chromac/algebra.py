@@ -12,7 +12,8 @@ Every map that is multiplicative over parts (the truncation here, the
 convolution of two counting functionals and the explicit recovery
 formula) is evaluated by one kernel, `character_sum`, on polynomials
 whose exponent vectors are packed into integers, and both recovery
-routes expand their powers of (1 - u) with `_one_minus_u_power`.
+routes multiply the kernel's sums by their powers of (1 - u) with
+`_expand_one_minus_u`, one product per power rather than per sum.
 """
 
 from __future__ import annotations
@@ -23,8 +24,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
+from .errors import CapExceededError
+
 Vector = tuple[int, ...]
 Exponents = tuple[int, ...]
+
+TRUNCATE_LIVE_EXPONENTS = 1 << 23  # terms times variables of a truncation being evaluated
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +173,14 @@ def unpack(code: int, radix: int, width: int) -> Vector:
     return tuple(reversed(digits))
 
 
-def add_product(total: dict[int, int], a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+def add_product(total: dict[int, int], a: dict[int, int], b: dict[int, int],
+                budget: int | None = None) -> dict[int, int]:
     """Add the product of two polynomials on packed exponent codes into
     total, and return total.  Every code the product reaches is kept, even
-    where its coefficient cancels to zero."""
+    where its coefficient cancels to zero.  With a budget, raise
+    CapExceededError once total holds more terms than that; it is checked
+    after each term of the smaller factor, so total never holds more than
+    the budget plus the size of the larger factor."""
     if len(a) < len(b):
         a, b = b, a
     get = total.get
@@ -179,6 +188,8 @@ def add_product(total: dict[int, int], a: dict[int, int], b: dict[int, int]) -> 
         for code_a, count_a in a.items():
             code = code_a + code_b
             total[code] = get(code, 0) + count_a * count_b
+        if budget is not None and len(total) > budget:
+            raise CapExceededError(f"a product exceeds its budget of {budget} live terms")
     return total
 
 
@@ -190,8 +201,29 @@ def _one_minus_u_power(k: int) -> list[int]:
     return [-math.comb(k, i) if i & 1 else math.comb(k, i) for i in range(k + 1)]
 
 
+def _expand_one_minus_u(buckets: dict[int, dict[int, dict[int, int]]],
+                        w_unit: int) -> dict[int, int]:
+    """Sum of coeff * code * (1 - z/w)^p (1 - 1/w)^q over the codes of
+    buckets[p][q], on packed codes whose last digit is the power of z and
+    where w_unit is the code of w.  (1 - 1/w)^q multiplies each q bucket
+    once and (1 - z/w)^p the sum over the q buckets of each p once, so each
+    power is expanded once per bucket, whatever its number of codes.  Every
+    p and q key is expanded, even over an empty bucket, so a negative one
+    raises."""
+    total: dict[int, int] = {}
+    for p, by_q in buckets.items():
+        inner: dict[int, int] = {}
+        for q, codes in by_q.items():
+            add_product(inner, codes,
+                        {-j * w_unit: c for j, c in enumerate(_one_minus_u_power(q))})
+        add_product(total, inner,
+                    {i * (1 - w_unit): c for i, c in enumerate(_one_minus_u_power(p))})
+    return total
+
+
 def character_sum(terms: dict[VectorPartition, int],
-                  image: Callable[[Vector], dict[int, int]]) -> dict[int, int]:
+                  image: Callable[[Vector], dict[int, int]],
+                  budget: int | None = None) -> dict[int, int]:
     """Sum over the basis symbols of their coefficient times the product
     of image(part) over their parts, on packed exponent codes.
 
@@ -202,7 +234,9 @@ def character_sum(terms: dict[VectorPartition, int],
     images of their later parts, and closing a node adds that sum times
     the image of its own part into its parent.  Each distinct part's
     image is computed once.  Like add_product, the result keeps every
-    code that some symbol reaches, even where the coefficients cancel."""
+    code that some symbol reaches, even where the coefficients cancel, and
+    a budget bounds the terms of every node's sum as add_product's bounds
+    its total."""
     images: dict[Vector, dict[int, int]] = {}
     path: list[Vector] = []
     sums: list[dict[int, int]] = [{}]  # sums[d]: the open node at depth d
@@ -213,7 +247,7 @@ def character_sum(terms: dict[VectorPartition, int],
         if values is None:
             values = images[part] = image(part)
         node = sums.pop()
-        add_product(sums[-1], node, values)
+        add_product(sums[-1], node, values, budget)
 
     for parts, coeff in sorted((p.parts[::-1], c) for p, c in terms.items()):
         shared = 0
@@ -475,9 +509,17 @@ class MacMahonElement:
         width coordinates per color, in a radix above every grade
         coordinate of the element, which no exponent of a product of its
         parts can reach; so a part's image is its k color codes, and
-        `character_sum` multiplies and sums them."""
+        `character_sum` multiplies and sums them.  A term has k * width
+        exponents, so each sum of the kernel may hold
+        TRUNCATE_LIVE_EXPONENTS / (k * width) terms; past that, checked as
+        the products run, it raises CapExceededError."""
         if colors < 0:
             raise ValueError("number of colors must be >= 0")
+        budget = TRUNCATE_LIVE_EXPONENTS // max(1, colors * self.width)  # in terms
+        exceeded = (f"the {colors}-color truncation exceeds its budget of "
+                    f"{TRUNCATE_LIVE_EXPONENTS} live exponents")
+        if colors > budget:  # a part's image alone has `colors` terms
+            raise CapExceededError(exceeded)
         names = truncation_variables(self.width, colors)
         radix = 1 + max((c for p in self.terms for c in p.grade), default=0)
         color_step = radix ** self.width
@@ -486,9 +528,12 @@ class MacMahonElement:
             code = pack(part, radix)
             return {code * color_step ** (colors - 1 - j): 1 for j in range(colors)}
 
+        try:
+            codes = character_sum(self.terms, image, budget)
+        except CapExceededError:
+            raise CapExceededError(exceeded) from None
         return LaurentPolynomial(names, {unpack(key, radix, len(names)): count
-                                         for key, count in character_sum(self.terms, image).items()
-                                         if count})
+                                         for key, count in codes.items() if count})
 
     def to_text(self) -> str:
         if not self.terms:

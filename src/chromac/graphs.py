@@ -14,8 +14,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .algebra import VectorPartition, Vector
+from .errors import CapExceededError
 
 Edge = tuple[int, int]
+
+RANDOM_FOREST_MAX_WEIGHTS = 10 ** 4  # weight coordinates n * r of one random forest
 
 
 class GraphFormatError(ValueError):
@@ -254,6 +257,9 @@ def random_forest(n: int, max_weight: int = 4, r: int = 1,
         raise ValueError("need n >= 0")
     if max_weight < 1:
         raise ValueError("need max_weight >= 1")
+    if n * r > RANDOM_FOREST_MAX_WEIGHTS:
+        raise CapExceededError(f"{n} * {r} weight coordinates exceeds the cap of "
+                               f"{RANDOM_FOREST_MAX_WEIGHTS}")
     rng = random.Random(seed)
     weights = tuple(tuple(rng.randint(1, max_weight) for _ in range(r)) for _ in range(n))
     if n <= 1:

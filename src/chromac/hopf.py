@@ -17,8 +17,9 @@ counting functionals are multiplicative over parts and every p_part is
 primitive, so their convolution is the product over parts of f + g
 (the character calculus of combinatorial Hopf algebras,
 Aguiar-Bergeron-Sottile, Compositio Math. 142, 2006); it is evaluated
-by the trie kernel `character_sum` on packed statistics, and each sum
-is expanded once.
+by the trie kernel `character_sum` on packed statistics, whose sums
+are bucketed by their powers of (1 - z/w) and (1 - 1/w) and expanded
+once per bucket.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .algebra import (LaurentPolynomial, MacMahonElement, TensorElement, Vector,
-                      VectorPartition, _one_minus_u_power, add_product, character_sum,
-                      pack, unpack)
+                      VectorPartition, _expand_one_minus_u, _one_minus_u_power,
+                      character_sum, pack, unpack)
 from .chromatic import egdp_variables
 
 
@@ -168,7 +169,9 @@ def egdp_convolution(element: MacMahonElement) -> LaurentPolynomial:
     q = (n - a) - (l - b), where (n, ...) is the grade and l the length
     of Lambda.  So `character_sum` sums the coefficients per
     (n, l, b, a, y): a part adds its size and 1 to (n, l), and either
-    nothing or 1 and itself to (b, a, y).  Each sum is expanded once."""
+    nothing or 1 and itself to (b, a, y).  Each prefix (n, l, b, a) of
+    the sums is decoded once, the y digits carried along as an offset,
+    and the sums are bucketed by (p, q) for `_expand_one_minus_u`."""
     names = egdp_variables(element.width - 1)
     radix = 1 + max((max(*p.grade, p.length) for p in element.terms), default=0)
     zeros = (0,) * element.width
@@ -178,22 +181,25 @@ def egdp_convolution(element: MacMahonElement) -> LaurentPolynomial:
         return {base: 1, base + pack((0, 0, 1, *part), radix): 1}
 
     w_unit = radix ** (element.width + 1)  # w^1 in the packed monomials
-    expansions: dict[tuple[int, int], dict[int, int]] = {}
-    acc: dict[int, int] = {}
+    y_span = radix ** (element.width - 1)  # the y digits end a kernel code
+    prefixes: dict[int, tuple[dict[int, int], int]] = {}
+    buckets: dict[int, dict[int, dict[int, int]]] = {}
     for key, coeff in character_sum(element.terms, image).items():
-        n, length, sub_length, *grade = unpack(key, radix, element.width + 3)
-        p = grade[0] - sub_length
-        q = n - length - p
-        expansion = expansions.get((p, q))
-        if expansion is None:
-            # every sum comes from a basis symbol in the support, so even
+        prefix, y = divmod(key, y_span)
+        slot = prefixes.get(prefix)
+        if slot is None:
+            # every prefix comes from a basis symbol in the support, so even
             # one whose coefficients cancel must give valid powers
-            expansion = expansions[p, q] = {i - (i + j) * w_unit: ci * cj  # z^i w^-(i+j)
-                                            for i, ci in enumerate(_one_minus_u_power(p))
-                                            for j, cj in enumerate(_one_minus_u_power(q))}
-        add_product(acc, {pack((n, *grade, 0), radix): coeff}, expansion)
+            n, length, sub_length, a = unpack(prefix, radix, 4)
+            p = a - sub_length
+            codes = buckets.setdefault(p, {}).setdefault(n - length - p, {})
+            slot = prefixes[prefix] = codes, n * w_unit + a * radix * y_span
+        if coeff:
+            codes, base = slot
+            codes[base + y * radix] = coeff  # w^n x^a y^y
     return LaurentPolynomial(names, {unpack(monomial, radix, len(names)): coeff
-                                     for monomial, coeff in acc.items()})
+                                     for monomial, coeff in
+                                     _expand_one_minus_u(buckets, w_unit).items() if coeff})
 
 
 def recover_egdp_hopf(element: MacMahonElement) -> LaurentPolynomial:

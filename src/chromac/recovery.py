@@ -13,8 +13,8 @@ counts of all types at once with the trie kernel `character_sum`.
 
 from __future__ import annotations
 
-from .algebra import (LaurentPolynomial, VectorPartition, _one_minus_u_power, add_product,
-                      character_sum, pack, unpack)
+from .algebra import (LaurentPolynomial, VectorPartition, _expand_one_minus_u, character_sum,
+                      pack, unpack)
 from .errors import NotApplicableError
 
 
@@ -27,8 +27,10 @@ def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
     sub-multiset of a type with size b, weight c and length l enters only
     through (b, c, l) and the type's length, so `character_sum` sums the
     signed counts per (type length, l, b, c) over all types (a part adds
-    1 to the type length, and either nothing or 1 and itself to (l, b, c)),
-    and each sum's binomials are expanded once.
+    1 to the type length, and either nothing or 1 and itself to (l, b, c)).
+    Each prefix (type length, l, b) of the sums is decoded once, the c
+    digit carried along as an offset, and the sums are bucketed by their
+    binomial tops for `_expand_one_minus_u`.
     """
     signed: dict[VectorPartition, int] = {}
     for partition, count in table.items():
@@ -43,35 +45,38 @@ def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
     def image(part: tuple[int, ...]) -> dict[int, int]:
         return {one_part: 1, one_part + pack((0, 1, *part), radix): 1}
 
-    # per (inside_top, outside_top): the terms w^a z^d with a >= 0 of
-    # w^e (1 - z/w)^inside_top (1 - 1/w)^outside_top, packed (a, 0, 0, d)
-    expansions: dict[tuple[int, int], dict[int, int]] = {}
-    grid: dict[int, int] = {}  # packed (a, b, c, d), in lexicographic order
+    w_unit = radix ** 3  # w^1 in the packed (a, b, c, d)
+    prefixes: dict[int, tuple[dict[int, int], int] | None] = {}
+    buckets: dict[int, dict[int, dict[int, int]]] = {}
     for stats, weight in character_sum(signed, image).items():
-        length, l0, b0, c0 = unpack(stats, radix, 4)
-        inside_top = b0 - l0
-        outside_top = n - length + l0 - b0
-        if not weight or inside_top < 0 or outside_top < 0:
+        if not weight:
             continue
-        expansion = expansions.get((inside_top, outside_top))
-        if expansion is None:
-            expansion = expansions[inside_top, outside_top] = {
-                pack((e - i - j, 0, 0, i), radix): ci * cj
-                for i, ci in enumerate(_one_minus_u_power(inside_top))
-                for j, cj in enumerate(_one_minus_u_power(outside_top)) if i + j <= e}
-        add_product(grid, {pack((0, b0, c0, 0), radix): weight}, expansion)
+        prefix, c0 = divmod(stats, radix)
+        if prefix not in prefixes:
+            length, l0, b0 = unpack(prefix, radix, 3)
+            inside_top = b0 - l0
+            outside_top = n - length + l0 - b0
+            prefixes[prefix] = None if inside_top < 0 or outside_top < 0 else (
+                buckets.setdefault(inside_top, {}).setdefault(outside_top, {}),
+                e * w_unit + b0 * radix * radix)
+        slot = prefixes[prefix]
+        if slot is not None:
+            codes, base = slot
+            codes[base + c0 * radix] = weight  # w^e x^b0 y^c0
+    # w^e (1 - z/w)^inside_top (1 - 1/w)^outside_top; with w the top
+    # digit, the terms with a negative power of w are the negative codes
+    grid = _expand_one_minus_u(buckets, w_unit)
     terms: dict[tuple[int, ...], int] = {}
     total = 0
-    for key in sorted(grid):
+    for key in sorted(key for key, value in grid.items() if value and key >= 0):
         value = grid[key]
         a, b0, c0, d = unpack(key, radix, 4)
         if value < 0:
             raise ValueError(f"negative reconstructed coefficient {value} at "
                              f"(ext,size,weight,internal)=({a},{b0},{c0},{d}); "
                              "the table is not a forest subset-type table for these parameters")
-        if value:
-            terms[a, b0, c0, d] = value
-            total += value
+        terms[a, b0, c0, d] = value
+        total += value
     if total != 2 ** n:
         raise ValueError(f"reconstructed coefficients sum to {total}, expected 2^{n}; "
                          "the table is not a forest subset-type table for these parameters")

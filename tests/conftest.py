@@ -4,7 +4,8 @@ tensor-product and counting-functional helpers that only tests use,
 Hopf-axiom checkers used by both the unit and acceptance suites, and
 definitional oracles for the CMF and EGDP dynamic programs, the packed
 truncation, the grouped coproduct, the trie-kernel Hopf evaluations, the
-explicit recovery route and the trie-product transition matrices."""
+bucketed (1 - u) expansion, the explicit recovery route and the
+trie-product transition matrices."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from chromac import (LaurentPolynomial, LinearFunctional, MacMahonElement,
                      egdp_variables, ext_int_counts, family_graph,
                      partitions_of, path_graph, realizable_partitions,
                      star_graph, truncation_variables)
+from chromac.algebra import _one_minus_u_power, add_product
 from chromac.bases import Family
 from chromac.hopf import counting_variables
 
@@ -452,6 +454,26 @@ def recover_egdp_explicit_per_type(table: dict[VectorPartition, int], n: int,
         raise ValueError(f"reconstructed coefficients sum to {total}, expected 2^{n}; "
                          "the table is not a forest subset-type table for these parameters")
     return LaurentPolynomial(("w", "x", "y", "z"), terms)
+
+
+# ---------------------------------------------------------------------------
+# Definitional oracle for the bucketed (1 - u) expansion
+
+
+def expand_one_minus_u_per_code(buckets: dict[int, dict[int, dict[int, int]]],
+                                w_unit: int) -> dict[int, int]:
+    """_expand_one_minus_u code by code: every code of buckets[p][q] is
+    multiplied on its own by the expansion of (1 - z/w)^p (1 - 1/w)^q,
+    built once per (p, q)."""
+    total: dict[int, int] = {}
+    for p, by_q in buckets.items():
+        for q, codes in by_q.items():
+            expansion = {i - (i + j) * w_unit: ci * cj  # z^i w^-(i+j)
+                         for i, ci in enumerate(_one_minus_u_power(p))
+                         for j, cj in enumerate(_one_minus_u_power(q))}
+            for code, coeff in codes.items():
+                add_product(total, {code: coeff}, expansion)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from chromac import (LaurentPolynomial, MacMahonElement, VectorPartition,
-                     partitions_of, truncation_variables)
-from chromac.algebra import add_product, character_sum, pack, unpack
+from chromac import (CapExceededError, LaurentPolynomial, MacMahonElement, VectorPartition,
+                     cmf, partitions_of, path_graph, truncation_variables)
+from chromac.algebra import (_expand_one_minus_u, _one_minus_u_power, add_product,
+                             character_sum, pack, unpack)
 
-from conftest import (choose, partition_binomial, random_element,
-                      tensor_product, truncate_by_products)
+from conftest import (choose, expand_one_minus_u_per_code, partition_binomial,
+                      random_element, tensor_product, truncate_by_products)
 
 
 def vp(*parts: tuple[int, ...]) -> VectorPartition:
@@ -297,6 +298,15 @@ def test_truncate_errors_match_products():
         assert str(packed.value) == str(by_products.value)
 
 
+def test_truncation_budget_on_the_ten_vertex_unit_path():
+    """11 colors fit the live-exponent budget and 12 do not; 12 colors
+    would give 336,336 monomials of 24 exponents."""
+    element = cmf(path_graph([1] * 10))
+    assert len(element.truncate(11).terms) == 173_745
+    with pytest.raises(CapExceededError, match="12-color truncation exceeds its budget"):
+        element.truncate(12)
+
+
 def test_truncation_variables_r2():
     assert truncation_variables(3, 2) == ("x1", "y1_1", "y2_1", "x2", "y1_2", "y2_2")
 
@@ -370,6 +380,58 @@ def test_add_product_adds_into_total():
     total = {5: 1}
     assert add_product(total, {0: 2, 1: 3}, {4: 1, 5: -1}) is total
     assert total == {4: 2, 5: 2, 6: -3}
+
+
+def test_add_product_budget_bounds_the_total():
+    assert add_product({}, {0: 1, 1: 1}, {0: 1, 4: 1}, budget=4) == {0: 1, 1: 1, 4: 1, 5: 1}
+    total: dict[int, int] = {}
+    with pytest.raises(CapExceededError, match="budget of 3 live terms"):
+        add_product(total, {0: 1, 1: 1}, {0: 1, 4: 1}, budget=3)
+    assert len(total) == 4  # one term of the smaller factor past the budget
+
+
+# ---------------------------------------------------------------------------
+# The bucketed (1 - u) expansion
+
+_RADIX = 8  # packed (w, x, z), so w_unit is _RADIX ** 2
+
+
+@st.composite
+def expansion_buckets(draw):
+    """Buckets for p, q in 0..4 of packed (w, x, z) codes with z below 4,
+    so z + p stays below the radix while w may go negative, with
+    coefficients of both signs and zero, and codes shared across buckets."""
+    code = st.builds(lambda w, x, z: pack((w, x, z), _RADIX),
+                     st.integers(0, 3), st.integers(0, 7), st.integers(0, 3))
+    small = st.dictionaries(code, st.integers(-3, 3), max_size=4)
+    return draw(st.dictionaries(st.integers(0, 4),
+                                st.dictionaries(st.integers(0, 4), small, max_size=3),
+                                max_size=3))
+
+
+_shared = pack((1, 2, 0), _RADIX)
+
+
+@example({0: {0: {_shared: 2}}})
+@example({2: {0: {}}, 0: {3: {pack((0, 1, 1), _RADIX): -1}}})
+@example({1: {1: {_shared: 1}}, 2: {0: {_shared: -1}}})  # cancels to zero
+@example({3: {2: {pack((0, 5, 3), _RADIX): 1, pack((3, 0, 0), _RADIX): 0}}})
+@given(expansion_buckets())
+def test_bucketed_expansion_matches_per_code_oracle(buckets):
+    result = _expand_one_minus_u(buckets, _RADIX ** 2)
+    expected = expand_one_minus_u_per_code(buckets, _RADIX ** 2)
+    assert {c: v for c, v in result.items() if v} == {c: v for c, v in expected.items() if v}
+
+
+@pytest.mark.parametrize("buckets", [{-1: {0: {}}}, {0: {-2: {1: 5}}}, {1: {0: {1: 1}}, 0: {-1: {}}}])
+def test_bucketed_expansion_rejects_negative_powers(buckets):
+    with pytest.raises(ValueError) as reference:
+        _one_minus_u_power(-1)
+    with pytest.raises(ValueError) as raised:
+        _expand_one_minus_u(buckets, _RADIX ** 2)
+    with pytest.raises(ValueError) as oracle:
+        expand_one_minus_u_per_code(buckets, _RADIX ** 2)
+    assert str(raised.value) == str(oracle.value) == str(reference.value)
 
 
 # ---------------------------------------------------------------------------

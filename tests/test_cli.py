@@ -255,6 +255,15 @@ def test_vertex_cap_exit_code(capsys):
     assert code == 3
 
 
+def test_truncation_budget_exit_code(capsys, vertex_file):
+    """A K-color truncation past the live-exponent budget exits 3; this
+    one is refused before its 2 * 10^9 variable names are built."""
+    code, out, err = run(capsys, "compute", vertex_file, "--invariant", "cmf",
+                         "--truncate", str(10 ** 9))
+    assert (code, out) == (3, "")
+    assert "1000000000-color truncation exceeds" in err
+
+
 def test_truncate_needs_cmf(capsys, edge_file):
     code, _, err = run(capsys, "compute", edge_file,
                        "--invariant", "egdp", "--truncate", "2")
@@ -315,6 +324,26 @@ def test_weight_dimension_below_one_is_a_usage_error(argv):
     assert proc.stdout == ""  # so no RESULT line either
     assert "Traceback" not in proc.stderr
     assert "--r: must be >= 1" in proc.stderr
+
+
+def test_random_forest_size_cap_exit_code():
+    """n * r above the cap is refused before the forest is built, in a
+    fresh interpreter, so an uncaught exception would show as a traceback."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for argv in (["--n", "1", "--r", "1000000"], ["--n", "10001"], ["--n", "5001", "--r", "2"]):
+        proc = subprocess.run([sys.executable, "-c", "import sys; from chromac.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", "random-forest", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, ""), argv
+        assert "Traceback" not in proc.stderr
+        assert "weight coordinates exceeds the cap of 10000" in proc.stderr
+
+
+def test_random_forest_at_the_size_cap(capsys):
+    code, out, _ = run(capsys, "random-forest", "--n", "5000", "--r", "2", "--seed", "3")
+    assert code == 0
+    g = parse_graph(out)
+    assert (g.n, g.r) == (5000, 2) and g.is_forest()
 
 
 def test_zero_truncation_and_empty_forest_stay_valid(capsys, edge_file):

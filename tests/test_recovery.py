@@ -202,6 +202,11 @@ def test_bucketed_explicit_route_matches_per_type_oracle():
     cases += [({vp((1, 1)): 1, wide: 1}, 1, 1, 0), ({wide: 1, vp((2, 1)): 1}, 1, 1, 0),
               ({vp((1, 2)): 1, vp((2, 3)): 1}, 1, 2, 0), ({}, 0, 0, 0), ({}, 2, 3, 1),
               ({vp((2, 3)): -1}, 2, 3, 1), ({vp((1, 1), (1, 2)): 1, vp((2, 3)): 1}, 2, 3, 1)]
+    # a zero-size part gives sub-multisets with more parts than vertices,
+    # and two types of one length with opposite counts cancel to weight 0
+    cancel = {vp((2, 3), (1, 1)): 1, vp((2, 2), (1, 2)): -1}
+    cases += [({vp((2, 1), (0, 2)): 1}, 2, 3, e) for e in (0, 1, 2)]
+    cases += [(cancel, 3, 4, e) for e in (1, 2)]
     raised = 0
     for args in cases:
         expected = _outcome(recover_egdp_explicit_per_type, *args)
