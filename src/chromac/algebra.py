@@ -366,34 +366,6 @@ class LaurentPolynomial:
         key = tuple(exponents.get(name, 0) for name in self.variables)
         return self.terms.get(key, 0)
 
-    def substitute_one(self, names: Iterable[str]) -> LaurentPolynomial:
-        """Set the given variables to 1, keeping the ambient variable tuple."""
-        drop = {self.variables.index(name) for name in names}
-        terms: dict[Exponents, int] = {}
-        for e, c in self.terms.items():
-            key = tuple(0 if i in drop else x for i, x in enumerate(e))
-            terms[key] = terms.get(key, 0) + c
-        return LaurentPolynomial(self.variables, terms)
-
-    def rename(self, mapping: dict[str, str], new_variables: Iterable[str]) -> LaurentPolynomial:
-        """Move terms into a new ring; unmapped variables must not occur."""
-        names = tuple(new_variables)
-        slots: list[int | None] = []
-        for old in self.variables:
-            slots.append(names.index(mapping[old]) if old in mapping else None)
-        terms: dict[Exponents, int] = {}
-        for e, c in self.terms.items():
-            key = [0] * len(names)
-            for i, x in enumerate(e):
-                if slots[i] is None:
-                    if x != 0:
-                        raise ValueError(f"variable {self.variables[i]} still occurs")
-                else:
-                    key[slots[i]] += x
-            k = tuple(key)
-            terms[k] = terms.get(k, 0) + c
-        return LaurentPolynomial(names, terms)
-
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """Graded order: total degree ascending, then exponents descending."""
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), tuple(-x for x in item[0])))

@@ -5,7 +5,7 @@ vectors in P^r lives in the width r+1 power-sum algebra: by inclusion-
 exclusion over edge subsets S, each S contributes (-1)^|S| times the
 basis symbol of its component type.  Truncating to k colors recovers
 the generating function of proper k-colorings, which is also computed
-here by direct enumeration as an independent cross-check.
+here by backtracking over those colorings as an independent cross-check.
 
 The extended generalized degree polynomial (EGDP) records, for every
 vertex subset A, the external edge count, cardinality, weight and
@@ -25,11 +25,11 @@ placed vertices that still have an unplaced neighbour.
 from __future__ import annotations
 
 import heapq
-import itertools
+from operator import itemgetter
 from typing import Iterator
 
-from .algebra import (LaurentPolynomial, MacMahonElement, VectorPartition, add_product,
-                      pack, truncation_variables, unpack)
+from .algebra import (TRUNCATE_LIVE_EXPONENTS, LaurentPolynomial, MacMahonElement,
+                      VectorPartition, add_product, pack, truncation_variables, unpack)
 from .errors import CapExceededError, NotApplicableError
 from .graphs import WeightedGraph
 
@@ -257,19 +257,21 @@ def specialize_csf(element: MacMahonElement, keep: str) -> MacMahonElement:
     """Project each part to its cardinality slot or to its weight slots,
     dropping parts that become zero and merging collisions."""
     if keep == "cardinality":
-        new_width, slicer = 1, (lambda part: part[:1])
+        new_width, slots = 1, slice(0, 1)
     elif keep == "weight":
         if element.width < 2:
             raise NotApplicableError("element has no weight coordinates")
-        new_width, slicer = element.width - 1, (lambda part: part[1:])
+        new_width, slots = element.width - 1, slice(1, None)
     else:
         raise ValueError(f"keep must be 'cardinality' or 'weight', got {keep!r}")
-    terms: dict[VectorPartition, int] = {}
+    sums: dict[tuple[tuple[int, ...], ...], int] = {}  # canonical parts -> coefficient
     for partition, coeff in element.terms.items():
-        parts = tuple(p for p in (slicer(part) for part in partition.parts) if any(p))
-        key = VectorPartition(new_width, parts)
-        terms[key] = terms.get(key, 0) + coeff
-    return MacMahonElement(new_width, terms)
+        parts = sorted((p for p in (part[slots] for part in partition.parts) if any(p)),
+                       reverse=True)
+        key = tuple(parts)
+        sums[key] = sums.get(key, 0) + coeff
+    return MacMahonElement(new_width, {VectorPartition.from_canonical(new_width, parts): coeff
+                                       for parts, coeff in sums.items()})
 
 
 def egdp_variables(r: int) -> tuple[str, ...]:
@@ -322,40 +324,97 @@ def egdp(g: WeightedGraph, max_vertices: int = DEFAULT_MAX_VERTICES) -> LaurentP
 def specialize_egdp(poly: LaurentPolynomial, target: str) -> LaurentPolynomial:
     """Project the EGDP to the weighted degree polynomial
     (x^wt y^ext z^int, scalar weights only) or to the plain degree
-    polynomial (x^|A| y^ext z^int)."""
+    polynomial (x^|A| y^ext z^int), reading each exponent tuple
+    (ext, size, weight..., int) once."""
     names = poly.variables
     if names[:2] != ("w", "x") or names[-1] != "z":
         raise NotApplicableError(f"not an extended degree polynomial ring: {names}")
-    weight_vars = names[2:-1]
     if target == "wgdp":
-        if weight_vars != ("y",):
+        if names[2:-1] != ("y",):
             raise NotApplicableError("weighted degree polynomial requires scalar weights (r=1)")
-        return poly.substitute_one(["x"]).rename({"y": "x", "w": "y", "z": "z"}, ("x", "y", "z"))
-    if target == "gdp":
-        return poly.substitute_one(weight_vars).rename(
-            {"x": "x", "w": "y", "z": "z"}, ("x", "y", "z"))
-    raise ValueError(f"target must be 'wgdp' or 'gdp', got {target!r}")
+        xyz = itemgetter(2, 0, 3)
+    elif target == "gdp":
+        xyz = itemgetter(1, 0, len(names) - 1)
+    else:
+        raise ValueError(f"target must be 'wgdp' or 'gdp', got {target!r}")
+    terms: dict[tuple[int, ...], int] = {}
+    for exps, coeff in poly.terms.items():
+        key = xyz(exps)
+        terms[key] = terms.get(key, 0) + coeff
+    return LaurentPolynomial(("x", "y", "z"), terms)
 
 
 def cmf_by_enumeration(g: WeightedGraph, colors: int,
                        max_colorings: int = DEFAULT_MAX_COLORINGS) -> LaurentPolynomial:
-    """Truncated CMF by brute force over all proper colorings with the
-    given number of colors.  Independent of the edge-subset expansion."""
+    """Truncated CMF as the generating function of the proper colorings
+    with the given number of colors, independent of the CMF.
+
+    Backtracking with an explicit stack colors the vertices one at a time
+    in breadth-first order, each only with colors its earlier neighbours
+    do not use, adding its exponents on the way down and subtracting them
+    on the way back; so the cost follows the number of proper colorings,
+    though the cap counts all colors^n.  Terms of colors * (r + 1)
+    exponents count against TRUNCATE_LIVE_EXPONENTS as in truncate: too
+    many colors for one vertex's terms are refused before anything is
+    built, and past it as terms are added the search raises
+    CapExceededError."""
     if colors < 0:
         raise ValueError("number of colors must be >= 0")
     if colors ** g.n > max_colorings:
         raise CapExceededError(f"{colors}^{g.n} colorings exceeds the cap of {max_colorings}")
-    names = truncation_variables(g.r + 1, colors)
     block = g.r + 1
+    budget = TRUNCATE_LIVE_EXPONENTS // max(1, colors * block)  # in terms
+    exceeded = CapExceededError(f"the {colors}-color coloring enumeration exceeds its "
+                                f"budget of {TRUNCATE_LIVE_EXPONENTS} live exponents")
+    if colors > budget:
+        raise exceeded
+    names = truncation_variables(block, colors)
+    neighbours: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    order: list[int] = []
+    position = [-1] * g.n
+    head = 0
+    for root in range(g.n):  # breadth first, from each vertex not reached yet
+        if position[root] < 0:
+            position[root] = len(order)
+            order.append(root)
+        while head < len(order):
+            for u in neighbours[order[head]]:
+                if position[u] < 0:
+                    position[u] = len(order)
+                    order.append(u)
+            head += 1
+    earlier = [[position[u] for u in neighbours[v] if position[u] < i]
+               for i, v in enumerate(order)]
+    exponents = [(1, *g.weights[v]) for v in order]
+    exps = [0] * len(names)
+    if not g.n:
+        return LaurentPolynomial(names, {tuple(exps): 1})
     terms: dict[tuple[int, ...], int] = {}
-    for coloring in itertools.product(range(colors), repeat=g.n):
-        if any(coloring[u] == coloring[v] for u, v in g.edges):
+    color = [-1] * g.n  # per position, its color now, -1 for none
+    untried = [list(range(colors))]  # per position being colored, the colors left to try
+    while untried:
+        i = len(untried) - 1
+        if color[i] >= 0:  # back from the colors below: take position i's color off
+            base = color[i] * block
+            for t, x in enumerate(exponents[i]):
+                exps[base + t] -= x
+            color[i] = -1
+        if not untried[i]:
+            untried.pop()
             continue
-        exps = [0] * len(names)
-        for v, color in enumerate(coloring):
-            exps[color * block] += 1
-            for i, c in enumerate(g.weights[v]):
-                exps[color * block + 1 + i] += c
+        color[i] = untried[i].pop()
+        base = color[i] * block
+        for t, x in enumerate(exponents[i]):
+            exps[base + t] += x
+        if i + 1 < g.n:
+            used = {color[j] for j in earlier[i + 1]}
+            untried.append([c for c in range(colors) if c not in used])
+            continue
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + 1
+        if len(terms) > budget:
+            raise exceeded
     return LaurentPolynomial(names, terms)

@@ -3,12 +3,14 @@ corpus, weight patterns for exhaustive tree sweeps, the binomial,
 tensor-product and counting-functional helpers that only tests use,
 Hopf-axiom checkers used by both the unit and acceptance suites, and
 definitional oracles for the CMF and EGDP dynamic programs, the packed
-truncation, the grouped coproduct, the trie-kernel Hopf evaluations, the
-bucketed (1 - u) expansion, the explicit recovery route and the
-trie-product transition matrices."""
+truncation, the backtracking coloring enumeration, the one-pass
+specialisations, the grouped coproduct, the trie-kernel Hopf
+evaluations, the bucketed (1 - u) expansion, the explicit recovery route
+and the trie-product transition matrices."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -311,6 +313,96 @@ def truncate_by_products(element: MacMahonElement, colors: int) -> LaurentPolyno
             product = product * part_poly(part)
         total = total + product
     return total
+
+
+# ---------------------------------------------------------------------------
+# Definitional oracles for the coloring enumeration and the specialisations
+
+
+def colorings_by_product(g: WeightedGraph, colors: int) -> LaurentPolynomial:
+    """cmf_by_enumeration by definition: all colors^n colorings, each
+    tested edge by edge, the proper ones adding their monomial."""
+    names = truncation_variables(g.r + 1, colors)
+    block = g.r + 1
+    terms: dict[tuple[int, ...], int] = {}
+    for coloring in itertools.product(range(colors), repeat=g.n):
+        if any(coloring[u] == coloring[v] for u, v in g.edges):
+            continue
+        exps = [0] * len(names)
+        for v, color in enumerate(coloring):
+            exps[color * block] += 1
+            for i, c in enumerate(g.weights[v]):
+                exps[color * block + 1 + i] += c
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + 1
+    return LaurentPolynomial(names, terms)
+
+
+def substitute_one(poly: LaurentPolynomial, names: Iterable[str]) -> LaurentPolynomial:
+    """Set the given variables to 1, keeping the ambient variable tuple."""
+    drop = {poly.variables.index(name) for name in names}
+    terms: dict[tuple[int, ...], int] = {}
+    for e, c in poly.terms.items():
+        key = tuple(0 if i in drop else x for i, x in enumerate(e))
+        terms[key] = terms.get(key, 0) + c
+    return LaurentPolynomial(poly.variables, terms)
+
+
+def rename(poly: LaurentPolynomial, mapping: dict[str, str],
+           new_variables: Iterable[str]) -> LaurentPolynomial:
+    """Move terms into a new ring; unmapped variables must not occur."""
+    names = tuple(new_variables)
+    slots: list[int | None] = []
+    for old in poly.variables:
+        slots.append(names.index(mapping[old]) if old in mapping else None)
+    terms: dict[tuple[int, ...], int] = {}
+    for e, c in poly.terms.items():
+        key = [0] * len(names)
+        for i, x in enumerate(e):
+            if slots[i] is None:
+                if x != 0:
+                    raise ValueError(f"variable {poly.variables[i]} still occurs")
+            else:
+                key[slots[i]] += x
+        k = tuple(key)
+        terms[k] = terms.get(k, 0) + c
+    return LaurentPolynomial(names, terms)
+
+
+def specialize_csf_two_pass(element: MacMahonElement, keep: str) -> MacMahonElement:
+    """specialize_csf by definition: every projected term goes through the
+    validating VectorPartition constructor."""
+    if keep == "cardinality":
+        new_width, slicer = 1, (lambda part: part[:1])
+    elif keep == "weight":
+        if element.width < 2:
+            raise NotApplicableError("element has no weight coordinates")
+        new_width, slicer = element.width - 1, (lambda part: part[1:])
+    else:
+        raise ValueError(f"keep must be 'cardinality' or 'weight', got {keep!r}")
+    terms: dict[VectorPartition, int] = {}
+    for partition, coeff in element.terms.items():
+        parts = tuple(p for p in (slicer(part) for part in partition.parts) if any(p))
+        key = VectorPartition(new_width, parts)
+        terms[key] = terms.get(key, 0) + coeff
+    return MacMahonElement(new_width, terms)
+
+
+def specialize_egdp_two_pass(poly: LaurentPolynomial, target: str) -> LaurentPolynomial:
+    """specialize_egdp by definition: set the dropped variables to 1, then
+    rename the rest into the ring (x, y, z)."""
+    names = poly.variables
+    if names[:2] != ("w", "x") or names[-1] != "z":
+        raise NotApplicableError(f"not an extended degree polynomial ring: {names}")
+    weight_vars = names[2:-1]
+    if target == "wgdp":
+        if weight_vars != ("y",):
+            raise NotApplicableError("weighted degree polynomial requires scalar weights (r=1)")
+        return rename(substitute_one(poly, ["x"]), {"y": "x", "w": "y", "z": "z"}, ("x", "y", "z"))
+    if target == "gdp":
+        return rename(substitute_one(poly, weight_vars), {"x": "x", "w": "y", "z": "z"},
+                      ("x", "y", "z"))
+    raise ValueError(f"target must be 'wgdp' or 'gdp', got {target!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromac import (CapExceededError, LaurentPolynomial, MacMahonElement,
@@ -18,8 +19,9 @@ from chromac import (CapExceededError, LaurentPolynomial, MacMahonElement,
                      star_graph)
 from chromac.cli import main
 
-from conftest import (beta_by_edge_subsets, cmf_by_edge_subsets,
-                      egdp_by_vertex_subsets, random_simple_graph)
+from conftest import (beta_by_edge_subsets, cmf_by_edge_subsets, colorings_by_product,
+                      egdp_by_vertex_subsets, random_simple_graph, specialize_csf_two_pass,
+                      specialize_egdp_two_pass, substitute_one)
 
 
 def vp(*parts):
@@ -386,6 +388,38 @@ def test_specialize_drops_zero_parts():
 def test_specialize_rejects_bad_mode():
     with pytest.raises(ValueError):
         specialize_csf(p_((1, 1)), "color")
+    with pytest.raises(NotApplicableError, match="^element has no weight coordinates$"):
+        specialize_csf(MacMahonElement.power_sum(vp((2,))), "weight")
+
+
+@st.composite
+def csf_inputs(draw):
+    """An element of width 2 or 3 and a slot to keep.  Parts may have size
+    0 or weight 0, and a term may get a twin that differs only in the
+    dropped slots, with the opposite coefficient, so that the projections
+    collide and cancel."""
+    width = draw(st.sampled_from([2, 3]))
+    keep = draw(st.sampled_from(["cardinality", "weight"]))
+    part = st.tuples(*[st.integers(0, 2)] * width).filter(any)
+    terms: dict[VectorPartition, int] = {}
+    for parts, coeff in draw(st.lists(st.tuples(st.lists(part, max_size=4), st.integers(-3, 3)),
+                                      max_size=6)):
+        twins = [(parts, coeff)]
+        if draw(st.booleans()):
+            moved = [((p[0], *(c + 1 for c in p[1:])) if keep == "cardinality"
+                      else (p[0] + 1, *p[1:])) for p in parts]
+            twins.append((moved, -coeff))
+        for twin, c in twins:
+            key = VectorPartition.of(twin, width=width)
+            terms[key] = terms.get(key, 0) + c
+    return MacMahonElement(width, terms), keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(csf_inputs())
+def test_specialize_csf_matches_the_two_pass_oracle(case):
+    element, keep = case
+    assert specialize_csf(element, keep) == specialize_csf_two_pass(element, keep)
 
 
 def test_wcsf_counterexample(t1, t2):
@@ -435,7 +469,7 @@ def test_egdp_weight_specialization_identity():
         product = LaurentPolynomial.constant(names, 1)
         for weight in g.weights:
             product = product * (LaurentPolynomial.constant(names, 1) + y ** weight[0])
-        assert egdp(g).substitute_one(["w", "x", "z"]) == product
+        assert substitute_one(egdp(g), ["w", "x", "z"]) == product
 
 
 def test_egdp_respects_vertex_cap(t1):
@@ -490,6 +524,20 @@ def test_wgdp_requires_scalar_weights():
     specialize_egdp(egdp(g), "gdp")  # the unweighted projection is fine
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2))
+def test_specialize_egdp_matches_the_two_pass_oracle(seed, r):
+    rng = random.Random(seed)
+    poly = egdp(random_simple_graph(rng, rng.randint(0, 7), r=r, max_weight=3,
+                                    density=rng.uniform(0, 0.8)))
+    assert specialize_egdp(poly, "gdp") == specialize_egdp_two_pass(poly, "gdp")
+    if r == 1:
+        assert specialize_egdp(poly, "wgdp") == specialize_egdp_two_pass(poly, "wgdp")
+    else:
+        with pytest.raises(NotApplicableError, match="requires scalar weights"):
+            specialize_egdp(poly, "wgdp")
+
+
 def test_specialize_egdp_rejects_other_rings():
     poly = LaurentPolynomial.constant(("a", "b"), 1)
     with pytest.raises(NotApplicableError):
@@ -525,3 +573,58 @@ def test_oracle_respects_coloring_cap():
     g = path_graph([1] * 10)
     with pytest.raises(CapExceededError):
         cmf_by_enumeration(g, 3, max_colorings=100)
+
+
+@st.composite
+def coloring_graphs(draw):
+    """A simple graph with n <= 7 and r in {1, 2}, from empty to complete."""
+    n = draw(st.integers(0, 7))
+    r = draw(st.integers(1, 2))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    taken = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weights = tuple(tuple(draw(st.integers(1, 3)) for _ in range(r)) for _ in range(n))
+    return WeightedGraph(n, weights, tuple(e for e, t in zip(pairs, taken) if t), r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coloring_graphs(), st.integers(0, 4))
+@example(WeightedGraph(0, (), (), 1), 3)
+@example(WeightedGraph(0, (), (), 2), 0)
+@example(WeightedGraph(5, ((1,), (2,), (3,), (1,), (2,)), ((0, 1), (2, 3)), 1), 3)  # and vertex 4
+@example(WeightedGraph(7, tuple((v % 3 + 1, 1) for v in range(7)),
+                       ((0, 1), (0, 2), (1, 2), (4, 5), (5, 6)), 2), 4)
+def test_backtracking_enumeration_matches_the_product_oracle(g, colors):
+    assert cmf_by_enumeration(g, colors) == colorings_by_product(g, colors)
+
+
+def test_enumeration_colors_a_long_edgeless_graph_without_recursion():
+    g = WeightedGraph(3000, ((2,),) * 3000, (), 1)
+    start = time.perf_counter()
+    poly = cmf_by_enumeration(g, 1)
+    assert time.perf_counter() - start < 1
+    assert poly.terms == {(3000, 6000): 1}
+
+
+def test_enumeration_refuses_colors_past_the_exponent_budget():
+    # k colors are refused when k terms of 2k exponents would pass 2^23,
+    # so from k = 2049 on: one vertex's 4000 terms would on their own, and
+    # 10^9 colors on the empty graph pass the coloring cap (one coloring)
+    # but are refused before 2 * 10^9 variable names are built
+    empty = WeightedGraph(0, (), (), 1)
+    for g, colors in ((single_vertex(1), 4000), (empty, 2049), (empty, 10 ** 9)):
+        with pytest.raises(CapExceededError,
+                           match=f"^the {colors}-color coloring enumeration exceeds its "
+                                 "budget of 8388608 live exponents$"):
+            cmf_by_enumeration(g, colors)
+    assert cmf_by_enumeration(empty, 2048).terms == {(0,) * 4096: 1}
+
+
+def test_enumeration_raises_once_its_terms_pass_the_exponent_budget(monkeypatch):
+    # 60 live exponents are 10 terms of 3 colors times 2 slots: the triangle
+    # has 6 and three isolated vertices with weights 1, 2, 4 have 27
+    monkeypatch.setattr(chromatic, "TRUNCATE_LIVE_EXPONENTS", 60)
+    triangle = cycle_graph([1, 2, 4])
+    assert cmf_by_enumeration(triangle, 3) == colorings_by_product(triangle, 3)
+    with pytest.raises(CapExceededError, match="^the 3-color coloring enumeration exceeds its "
+                                               "budget of 60 live exponents$"):
+        cmf_by_enumeration(WeightedGraph(3, ((1,), (2,), (4,)), (), 1), 3)
