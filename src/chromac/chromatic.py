@@ -38,6 +38,7 @@ DEFAULT_MAX_VERTICES = 25
 DEFAULT_MAX_COLORINGS = 10 ** 7
 EGDP_LIVE_TERMS = 1 << 19  # (frontier bits, exponent) terms of the EGDP dynamic program
 CMF_LIVE_STATES = 1 << 19  # states of the CMF frontier dynamic program being built
+FOREST_CMF_STATE_DIGITS = 1 << 27  # live states times distinct closed codes of the forest CMF DP
 
 
 def cmf(g: WeightedGraph, max_edges: int = DEFAULT_MAX_EDGES) -> MacMahonElement:
@@ -46,14 +47,13 @@ def cmf(g: WeightedGraph, max_edges: int = DEFAULT_MAX_EDGES) -> MacMahonElement
     The coefficient of a component type has the sign (-1)^(n - length)
     (on a forest every edge subset of that type has n - length edges; in
     general by Stanley's broken-circuit theorem), so the dynamic programs
-    count without signs: `_forest_type_counts` on a forest,
-    `_frontier_type_counts` on any other graph.
+    count without signs, `_forest_type_counts` on a forest and
+    `_frontier_type_counts` on any other graph, and `_closed_types` signs
+    each count as it decodes its type.
     """
     if g.edge_count > max_edges:
         raise CapExceededError(f"{g.edge_count} edges exceeds the cap of {max_edges}")
-    counts = _forest_type_counts(g) if g.is_forest() else _frontier_type_counts(g)
-    terms = {partition: -count if (g.n - partition.length) & 1 else count
-             for partition, count in counts.items()}
+    terms = _forest_type_counts(g) if g.is_forest() else _frontier_type_counts(g)
     return MacMahonElement(g.r + 1, terms)
 
 
@@ -72,8 +72,8 @@ def beta_table(g: WeightedGraph, max_edges: int = DEFAULT_MAX_EDGES) -> dict[Vec
 
 
 def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
-    """Number of edge subsets of a forest per component type, by dynamic
-    programming over each rooted tree.
+    """Signed number of edge subsets of a forest per component type, by
+    dynamic programming over each rooted tree.
 
     A component (size, weight...) is a packed code.  A subtree's state is
     one integer: in its low bits the code of the component that holds the
@@ -86,7 +86,11 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     component, always without the edge.  The trees are rooted by the walk
     `_frontier_steps`, which grows each tree from its smallest vertex, so
     every vertex has at most one placed neighbour, its parent, and comes
-    after it; children merge in reverse walk order.
+    after it; children merge in reverse walk order.  Every state is as
+    wide as the run's distinct closed codes, so the live states of a
+    merge times those codes count against `FOREST_CMF_STATE_DIGITS`:
+    when a code closes for the first time, and in the product that builds
+    the parent's states.
     """
     radix = max(g.n, *g.total_weight) + 1
     width = g.r + 1
@@ -96,18 +100,28 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     shifts: dict[int, int] = {}  # code of a closed component -> shift of its digit
     states = [{pack((1, *w), radix): 1} for w in g.weights]
     states.append({0: 1})
+    exceeded = CapExceededError(f"the forest CMF dynamic program exceeds its budget of "
+                                f"{FOREST_CMF_STATE_DIGITS} live states times closed codes")
     for v, frontier, touching, _ in reversed(list(_frontier_steps(g))):
         parent = frontier[touching[0]] if touching else g.n
         child = states[v]
         offers = dict(child) if parent < g.n else {}
         for state, count in child.items():
             code = state & open_mask
-            shift = shifts.setdefault(code, low + digit * len(shifts))
+            shift = shifts.get(code)
+            if shift is None:
+                shift = shifts[code] = low + digit * len(shifts)
+                if len(offers) * len(shifts) > FOREST_CMF_STATE_DIGITS:
+                    raise exceeded
             key = state - code + (1 << shift)  # open code 0: never a key of child
             offers[key] = offers.get(key, 0) + count
-        states[parent] = add_product({}, states[parent], offers)
+        try:
+            states[parent] = add_product({}, states[parent], offers,
+                                         FOREST_CMF_STATE_DIGITS // max(1, len(shifts)))
+        except CapExceededError:
+            raise exceeded from None
         child.clear()
-    return _closed_types(states[g.n], shifts, low, digit, radix, width)
+    return _closed_types(states[g.n], shifts, low, digit, radix, width, g.n)
 
 
 def _frontier_steps(g: WeightedGraph) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
@@ -151,8 +165,8 @@ def _frontier_steps(g: WeightedGraph) -> Iterator[tuple[int, list[int], list[int
 
 
 def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
-    """Absolute value of the CMF coefficient of every component type, for
-    any graph, by a dynamic program that places the vertices one at a time.
+    """CMF coefficient of every component type, for any graph, by a
+    dynamic program that places the vertices one at a time.
 
     The frontier is the placed vertices that still have an unplaced
     neighbour.  A state has three parts: the closed components, as the
@@ -165,7 +179,7 @@ def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     set of distinct components that it touches, each joined component
     flipping the sign once however many edges reach it; so a state's
     sign is (-1)^(placed vertices - components), its count stays positive
-    and `cmf` signs it.  A vertex leaves the frontier once all its
+    and `_closed_types` signs it.  A vertex leaves the frontier once all its
     neighbours are placed, and a component with no frontier vertex left
     closes.  The states of a placement count against the budget
     `CMF_LIVE_STATES`, checked before each state's moves, so it is passed
@@ -201,7 +215,7 @@ def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
                 placed[key] = placed.get(key, 0) + count
         states = placed
     return _closed_types({closed: count for (closed, _, _), count in states.items()},
-                         shifts, 0, digit, radix, width)
+                         shifts, 0, digit, radix, width, g.n)
 
 
 # (labels joined to the new vertex, old label of each new label or -1 for
@@ -234,10 +248,11 @@ def _frontier_moves(labels: tuple[int, ...], touching: list[int],
 
 
 def _closed_types(states: dict[int, int], shifts: dict[int, int], low: int, digit: int,
-                  radix: int, width: int) -> dict[VectorPartition, int]:
-    """Component types with their counts, from states whose closed
-    components are one multiplicity digit per distinct component code, at
-    the shifts given, above `low` bits that are zero."""
+                  radix: int, width: int, n: int) -> dict[VectorPartition, int]:
+    """Component types with their counts, each signed (-1)^(n - length) as
+    in the CMF, from states whose closed components are one multiplicity
+    digit per distinct component code, at the shifts given, above `low`
+    bits that are zero."""
     part_at = {shift: unpack(code, radix, width) for code, shift in shifts.items()}
     mask = (1 << digit) - 1
     counts = {}
@@ -249,7 +264,8 @@ def _closed_types(states: dict[int, int], shifts: dict[int, int], low: int, digi
             parts += [part_at[shift]] * times
             state -= times << shift
         parts.sort(reverse=True)
-        counts[VectorPartition.from_canonical(width, tuple(parts))] = count
+        counts[VectorPartition.from_canonical(width, tuple(parts))] = (
+            -count if (n - len(parts)) & 1 else count)
     return counts
 
 

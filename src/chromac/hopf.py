@@ -19,7 +19,8 @@ primitive, so their convolution is the product over parts of f + g
 Aguiar-Bergeron-Sottile, Compositio Math. 142, 2006); it is evaluated
 by the trie kernel `character_sum` on packed statistics, whose sums
 are bucketed by their powers of (1 - z/w) and (1 - 1/w) and expanded
-once per bucket.
+once per bucket.  The explicit route of `recovery` takes its buckets
+from the same pass, `_convolution_buckets`.
 """
 
 from __future__ import annotations
@@ -167,47 +168,61 @@ def egdp_convolution(element: MacMahonElement) -> LaurentPolynomial:
     with grade (a, y) and length b, the convolution takes
     w^n x^a y^y (1 - z/w)^p (1 - 1/w)^q with p = a - b and
     q = (n - a) - (l - b), where (n, ...) is the grade and l the length
-    of Lambda.  So `character_sum` sums the coefficients per
-    (n, l, b, a, y): a part adds its size and 1 to (n, l), and either
-    nothing or 1 and itself to (b, a, y).  Each prefix (n, l, b, a) of
-    the sums is decoded once, the y digits carried along as an offset,
-    and the sums are bucketed by (p, q) for `_expand_one_minus_u`."""
+    of Lambda; `_convolution_buckets` sums these per (p, q) bucket."""
+    return _shifted_convolution(element, 0)
+
+
+def recover_egdp_hopf(element: MacMahonElement) -> LaurentPolynomial:
+    """Recover the EGDP of a forest from its CMF via the convolution map,
+    divided by w^c for the c components that `recover_stats` reads off."""
+    return _shifted_convolution(element, -recover_stats(element).c)
+
+
+def _shifted_convolution(element: MacMahonElement, w_shift: int) -> LaurentPolynomial:
+    """w^w_shift times the convolution.  With w the top digit, a negative
+    power of w is a negative code; only a negative shift leaves one."""
     names = egdp_variables(element.width - 1)
     radix = 1 + max((max(*p.grade, p.length) for p in element.terms), default=0)
-    zeros = (0,) * element.width
+    grid = _expand_one_minus_u(_convolution_buckets(element.terms, element.width, radix, w_shift),
+                               radix ** (element.width + 1))
+    if any(code < 0 for code, coeff in grid.items() if coeff):
+        raise ValueError("negative w-exponents remain after removing the "
+                         "component factor; the element is not the CMF of a forest")
+    return LaurentPolynomial(names, {unpack(code, radix, len(names)): coeff
+                                     for code, coeff in grid.items() if coeff})
+
+
+def _convolution_buckets(terms: dict[VectorPartition, int], width: int, radix: int,
+                         w_shift: int) -> dict[int, dict[int, dict[int, int]]]:
+    """The convolution's buckets for `_expand_one_minus_u`: per (p, q),
+    the packed monomials w^(n + w_shift) x^a y^y with their coefficients.
+
+    `character_sum` sums the coefficients per (n, l, b, a, y): a part
+    adds its size and 1 to (n, l), and either nothing or 1 and itself to
+    (b, a, y).  Each prefix (n, l, b, a) of the sums is decoded once, the
+    y digits carried along as an offset.  Every prefix comes from a basis
+    symbol in the support, so each gets its bucket even where the
+    coefficients cancel.  The radix must exceed every grade coordinate
+    and length."""
+    zeros = (0,) * width
 
     def image(part: Vector) -> dict[int, int]:
         base = pack((part[0], 1, 0, *zeros), radix)
         return {base: 1, base + pack((0, 0, 1, *part), radix): 1}
 
-    w_unit = radix ** (element.width + 1)  # w^1 in the packed monomials
-    y_span = radix ** (element.width - 1)  # the y digits end a kernel code
+    w_unit = radix ** (width + 1)  # w^1 in the packed monomials
+    y_span = radix ** (width - 1)  # the y digits end a kernel code
     prefixes: dict[int, tuple[dict[int, int], int]] = {}
     buckets: dict[int, dict[int, dict[int, int]]] = {}
-    for key, coeff in character_sum(element.terms, image).items():
+    for key, coeff in character_sum(terms, image).items():
         prefix, y = divmod(key, y_span)
         slot = prefixes.get(prefix)
         if slot is None:
-            # every prefix comes from a basis symbol in the support, so even
-            # one whose coefficients cancel must give valid powers
             n, length, sub_length, a = unpack(prefix, radix, 4)
             p = a - sub_length
             codes = buckets.setdefault(p, {}).setdefault(n - length - p, {})
-            slot = prefixes[prefix] = codes, n * w_unit + a * radix * y_span
+            slot = prefixes[prefix] = codes, (n + w_shift) * w_unit + a * radix * y_span
         if coeff:
             codes, base = slot
-            codes[base + y * radix] = coeff  # w^n x^a y^y
-    return LaurentPolynomial(names, {unpack(monomial, radix, len(names)): coeff
-                                     for monomial, coeff in
-                                     _expand_one_minus_u(buckets, w_unit).items() if coeff})
-
-
-def recover_egdp_hopf(element: MacMahonElement) -> LaurentPolynomial:
-    """Recover the EGDP of a forest from its CMF via the convolution map."""
-    c = recover_stats(element).c
-    product = egdp_convolution(element)
-    if any(exps[0] < c for exps in product.terms):  # w is the first variable
-        raise ValueError("negative w-exponents remain after removing the "
-                         "component factor; the element is not the CMF of a forest")
-    return LaurentPolynomial(product.variables, {(exps[0] - c, *exps[1:]): coeff
-                                                 for exps, coeff in product.terms.items()})
+            codes[base + y * radix] = coeff  # w^(n + w_shift) x^a y^y
+    return buckets

@@ -7,15 +7,17 @@ contributes (-1)^(n - len(Lambda)) times a coefficient that sums over
 sub-partitions of multidegree (b, c).  The engine of the cancellation
 is the identity  sum_k C(P, k) (-1)^(k + q) C(k, q) = [P == q]; the
 tests check it term by term and evaluate the per-type coefficient
-pointwise as oracles for the assembly below, which sums the signed
-counts of all types at once with the trie kernel `character_sum`.
+pointwise as oracles for the assembly below.  The binomial tops are the
+powers of (1 - z/w) and (1 - 1/w) in the Hopf route's convolution, so
+the assembly sums the signed counts of all types at once with that
+route's kernel-to-buckets pass, `hopf._convolution_buckets`.
 """
 
 from __future__ import annotations
 
-from .algebra import (LaurentPolynomial, VectorPartition, _expand_one_minus_u, character_sum,
-                      pack, unpack)
+from .algebra import LaurentPolynomial, VectorPartition, _expand_one_minus_u, unpack
 from .errors import NotApplicableError
+from .hopf import _convolution_buckets
 
 
 def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
@@ -25,12 +27,12 @@ def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
     Equivalent to summing count * (-1)^(n - length) times each type's
     pointwise coefficient over the table for every statistics tuple.  A
     sub-multiset of a type with size b, weight c and length l enters only
-    through (b, c, l) and the type's length, so `character_sum` sums the
-    signed counts per (type length, l, b, c) over all types (a part adds
-    1 to the type length, and either nothing or 1 and itself to (l, b, c)).
-    Each prefix (type length, l, b) of the sums is decoded once, the c
-    digit carried along as an offset, and the sums are bucketed by their
-    binomial tops for `_expand_one_minus_u`.
+    through (b, c, l) and the type's length L, as in the Hopf route with
+    the grade n fixed: the binomial tops p = b - l and
+    q = (n - b) - (L - l) are its powers of (1 - z/w) and (1 - 1/w), so
+    `_convolution_buckets` sums the signed counts per (p, q) with the
+    monomials at w^e.  A negative top contributes nothing, so those
+    buckets are dropped before `_expand_one_minus_u`.
     """
     signed: dict[VectorPartition, int] = {}
     for partition, count in table.items():
@@ -40,32 +42,11 @@ def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
             raise ValueError(f"type {partition} does not have multidegree ({n},{total_weight})")
         signed[partition] = -count if (n - partition.length) & 1 else count
     radix = 1 + max(n, total_weight, e, *(p.length for p in table))
-    one_part = pack((1, 0, 0, 0), radix)
-
-    def image(part: tuple[int, ...]) -> dict[int, int]:
-        return {one_part: 1, one_part + pack((0, 1, *part), radix): 1}
-
-    w_unit = radix ** 3  # w^1 in the packed (a, b, c, d)
-    prefixes: dict[int, tuple[dict[int, int], int] | None] = {}
-    buckets: dict[int, dict[int, dict[int, int]]] = {}
-    for stats, weight in character_sum(signed, image).items():
-        if not weight:
-            continue
-        prefix, c0 = divmod(stats, radix)
-        if prefix not in prefixes:
-            length, l0, b0 = unpack(prefix, radix, 3)
-            inside_top = b0 - l0
-            outside_top = n - length + l0 - b0
-            prefixes[prefix] = None if inside_top < 0 or outside_top < 0 else (
-                buckets.setdefault(inside_top, {}).setdefault(outside_top, {}),
-                e * w_unit + b0 * radix * radix)
-        slot = prefixes[prefix]
-        if slot is not None:
-            codes, base = slot
-            codes[base + c0 * radix] = weight  # w^e x^b0 y^c0
-    # w^e (1 - z/w)^inside_top (1 - 1/w)^outside_top; with w the top
-    # digit, the terms with a negative power of w are the negative codes
-    grid = _expand_one_minus_u(buckets, w_unit)
+    buckets = _convolution_buckets(signed, 2, radix, e - n)
+    # w^e (1 - z/w)^p (1 - 1/w)^q; with w the top digit, the terms with a
+    # negative power of w are the negative codes
+    grid = _expand_one_minus_u({p: {q: codes for q, codes in by_q.items() if q >= 0}
+                                for p, by_q in buckets.items() if p >= 0}, radix ** 3)
     terms: dict[tuple[int, ...], int] = {}
     total = 0
     for key in sorted(key for key, value in grid.items() if value and key >= 0):

@@ -268,6 +268,37 @@ def test_caps_raise_before_the_forest_dp(monkeypatch):
         beta_table(cycle_graph([1] * 40))  # the forest check comes first
 
 
+def test_forest_dp_refuses_the_power_of_two_star_early(capsys, tmp_path):
+    """With leaf weights 1, 2, 4, ... every edge subset of the star has its
+    own type, so the root's merge closes 2^k distinct codes and each state
+    needs a digit for each: live states times closed codes pass
+    FOREST_CMF_STATE_DIGITS at k = 14.  At k = 16 the refusal comes as the
+    root's codes close, long before the states would fill gigabytes."""
+    assert len(cmf(star_graph(1, [2 ** i for i in range(12)])).terms) == 2 ** 12
+    star = star_graph(1, [2 ** i for i in range(16)])
+    message = (f"the forest CMF dynamic program exceeds its budget of "
+               f"{chromatic.FOREST_CMF_STATE_DIGITS} live states times closed codes")
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=f"^{message}$"):
+        cmf(star)
+    assert time.perf_counter() - start < 1
+    path = tmp_path / "star16.graph"
+    path.write_text(serialize_graph(star))
+    assert main(["compute", str(path), "--invariant", "beta"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_forest_dp_budget_bounds_the_merge_products(monkeypatch):
+    # on this path the product that builds a parent's states passes a
+    # budget of 10,000 before any closing code does
+    path = path_graph([1, 2, 3] * 4)
+    assert cmf(path) == cmf_by_edge_subsets(path)
+    monkeypatch.setattr(chromatic, "FOREST_CMF_STATE_DIGITS", 10_000)
+    with pytest.raises(CapExceededError, match="^the forest CMF dynamic program exceeds its "
+                                               "budget of 10000 live states times closed codes$"):
+        cmf(path)
+
+
 def test_egdp_budget_raises_before_the_step_that_could_exceed_it(monkeypatch, capsys, tmp_path):
     # K_n keeps 2^placed live terms, so a budget of 64 admits K6 and
     # stops K7 and K8 before their seventh vertex is placed

@@ -300,38 +300,38 @@ def test_egdp_convolution_counts_components():
 
 
 def test_recovery_routes_expand_per_bucket_not_per_code(monkeypatch):
-    """On the 30-vertex path with weights 1,2 each route's kernel gives
-    over 20,000 codes, and the expansion after it runs add_product once
-    per (p, q) bucket and once per p, not once per code."""
-    from chromac import algebra, hopf, recovery
+    """On the 30-vertex path with weights 1,2 each route's kernel, the one
+    in `hopf._convolution_buckets`, gives over 20,000 codes, and the
+    expansion after it runs add_product once per (p, q) bucket and once
+    per p, not once per code."""
+    from chromac import algebra, hopf
     element = cmf(path_graph([1, 2] * 15))
     table = {partition: abs(coeff) for partition, coeff in element.terms.items()}
     calls = 0
+    kernel_ends: list[tuple[int, int]] = []  # (codes, add_product calls so far)
     real_product = algebra.add_product
+    real_kernel = hopf.character_sum
 
     def counted_product(*args):
         nonlocal calls
         calls += 1
         return real_product(*args)
 
-    for module in (algebra, hopf, recovery):  # also where a route imported it
-        monkeypatch.setattr(module, "add_product", counted_product, raising=False)
-    for module, route in ((hopf, lambda: egdp_convolution(element)),
-                          (recovery, lambda: recover_egdp_explicit(table, 30, 45, 29))):
-        kernel_ends: list[tuple[int, int]] = []  # (codes, add_product calls so far)
-        real_kernel = module.character_sum
+    def counted_kernel(*args):
+        codes = real_kernel(*args)
+        kernel_ends.append((len(codes), calls))
+        return codes
 
-        def counted_kernel(*args, real_kernel=real_kernel, kernel_ends=kernel_ends):
-            codes = real_kernel(*args)
-            kernel_ends.append((len(codes), calls))
-            return codes
-
-        monkeypatch.setattr(module, "character_sum", counted_kernel)
+    monkeypatch.setattr(algebra, "add_product", counted_product)
+    monkeypatch.setattr(hopf, "character_sum", counted_kernel)
+    for name, route in (("hopf", lambda: egdp_convolution(element)),
+                        ("explicit", lambda: recover_egdp_explicit(table, 30, 45, 29))):
+        kernel_ends.clear()
         calls = 0
         route()
         (codes, calls_in_kernel), = kernel_ends
-        assert codes > 20_000
-        assert calls - calls_in_kernel < 1_000, module.__name__
+        assert codes > 20_000, name
+        assert calls - calls_in_kernel < 1_000, name
 
 
 def test_recovery_on_forests():

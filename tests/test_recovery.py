@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chromac import (NotApplicableError, VectorPartition, all_labeled_trees,
@@ -213,3 +213,35 @@ def test_bucketed_explicit_route_matches_per_type_oracle():
         assert _outcome(recover_egdp_explicit, *args) == expected, args
         raised += isinstance(expected, tuple)
     assert raised >= len(cases) // 2
+
+
+@st.composite
+def explicit_inputs(draw):
+    """A random forest's table with up to three more width-2 types of its
+    multidegree, each one of its types with a part split in two (so some
+    have a part of size 0), at counts from -2 to 2, zero included; and e
+    within one of n - c, for c the least type length."""
+    g = random_forest(draw(st.integers(0, 6)), max_weight=draw(st.integers(1, 3)),
+                      seed=draw(st.integers(0, 2 ** 32 - 1)))
+    table = beta_table(g)
+    types = sorted(table, key=VectorPartition.sort_key)
+    for _ in range(draw(st.integers(0, 3))):
+        parts = list(draw(st.sampled_from(types)).parts)
+        if parts:
+            size, weight = parts.pop(draw(st.integers(0, len(parts) - 1)))
+            split = (draw(st.integers(0, size)), draw(st.integers(0, weight)))
+            parts += [part for part in (split, (size - split[0], weight - split[1])) if any(part)]
+        table[vp(*parts)] = draw(st.integers(-2, 2))
+    c = min(p.length for p in table)
+    e = g.n - c + draw(st.sampled_from([-1, 0, 1]))
+    return table, g.n, g.total_weight[0], e
+
+
+@given(explicit_inputs())
+@example(({vp((2, 1), (0, 2)): 1, vp((1, 1), (1, 2)): -1, vp((2, 3)): 0}, 2, 3, 1))
+def test_explicit_route_matches_per_type_oracle_on_drawn_tables(args):
+    """Value-or-error parity with the per-type oracle, which skips each
+    negative binomial top itself, for the explicit route's dropped (p, q)
+    buckets and its radix, which depends on e."""
+    assert _outcome(recover_egdp_explicit, *args) == \
+        _outcome(recover_egdp_explicit_per_type, *args), args
