@@ -11,10 +11,9 @@ from .chromatic import (beta_table, cmf, cmf_by_enumeration, egdp,
                         egdp_variables, specialize_csf, specialize_egdp)
 from .errors import CapExceededError, NotApplicableError
 from .graphs import (Component, GraphFormatError, WeightedGraph,
-                     all_labeled_trees, component_type, connected_components,
+                     all_labeled_trees, connected_components,
                      counterexample_pair, cycle_graph, disjoint_union,
-                     ext_int_counts, induced_subgraph, parse_graph,
-                     path_graph, random_forest, serialize_graph,
+                     parse_graph, path_graph, random_forest, serialize_graph,
                      single_vertex, star_graph, tree_from_pruefer)
 from .hopf import (ForestStats, LinearFunctional, antipode, convolve,
                    coproduct, egdp_convolution, recover_egdp_hopf,

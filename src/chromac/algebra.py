@@ -535,36 +535,6 @@ class TensorElement:
                 raise ValueError("tensor factor width does not match element width")
         object.__setattr__(self, "terms", pruned)
 
-    @classmethod
-    def zero(cls, width: int) -> TensorElement:
-        return cls(width, {})
-
-    def __add__(self, other: TensorElement) -> TensorElement:
-        if self.width != other.width:
-            raise ValueError("width mismatch")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return TensorElement(self.width, terms)
-
-    def __neg__(self) -> TensorElement:
-        return TensorElement(self.width, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: TensorElement) -> TensorElement:
-        return self + (-other)
-
-    def __mul__(self, scalar: int) -> TensorElement:
-        return TensorElement(self.width, {k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def swap(self) -> TensorElement:
-        terms: dict[tuple[VectorPartition, VectorPartition], int] = {}
-        for (left, right), c in self.terms.items():
-            key = (right, left)
-            terms[key] = terms.get(key, 0) + c
-        return TensorElement(self.width, terms)
-
     def to_text(self) -> str:
         if not self.terms:
             return "0"

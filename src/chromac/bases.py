@@ -10,20 +10,26 @@ under the canonical partition order, so the family CMFs form a basis.
 The CMF is multiplicative over disjoint unions, so the row of a
 partition is the product of its members' CMFs.  `transition_matrix`
 computes one CMF per distinct part, of that part's member alone, and
-multiplies along the trie of the realizable partitions read largest part
-first: partitions that share leading parts share the product over them.
+multiplies each row's members in turn.  A matrix has one row per
+realizable partition, at most `TRANSITION_MATRIX_ROWS` of them.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable
 
 from .algebra import Vector, VectorPartition, add_product
 from .chromatic import cmf
+from .errors import CapExceededError
 from .graphs import (WeightedGraph, connected_components, disjoint_union,
                      single_vertex, star_graph)
 
 Family = Callable[[int, int], WeightedGraph]
+
+# realizable partitions of one multidegree, so a transition matrix has at
+# most 2^24 entries (about 130 MB of row slots)
+TRANSITION_MATRIX_ROWS = 2 ** 12
 
 
 def star_family(n: int, w: int) -> WeightedGraph:
@@ -46,7 +52,9 @@ def realizable_partitions(multidegree: tuple[int, int]) -> list[VectorPartition]
 
     Parts are chosen largest first, each at most the one before, and only
     where what remains stays realizable: a part's excess w_i - n_i is at
-    most the excess of what is left of (N, W)."""
+    most the excess of what is left of (N, W).  They index the rows of a
+    transition matrix, so past `TRANSITION_MATRIX_ROWS` of them the
+    enumeration stops with CapExceededError."""
     n, w = multidegree
     if n < 0 or w < 0:
         raise ValueError("multidegree coordinates must be >= 0")
@@ -55,6 +63,10 @@ def realizable_partitions(multidegree: tuple[int, int]) -> list[VectorPartition]
 
     def extend(size: int, weight: int, largest: Vector) -> None:
         if not size:
+            if len(found) == TRANSITION_MATRIX_ROWS:
+                raise CapExceededError(
+                    f"multidegree ({n},{w}) has more than {TRANSITION_MATRIX_ROWS} realizable "
+                    "partitions, the row budget of a transition matrix")
             found.append(VectorPartition.from_canonical(2, tuple(parts)))
             return
         excess = weight - size
@@ -96,45 +108,41 @@ def transition_matrix(family: Family, multidegree: tuple[int, int]) -> list[list
     A partition is a packed code with one multiplicity digit per distinct
     part, as in the forest CMF, so multiplying CMFs adds codes.  Each
     distinct part's member CMF is computed once, in the order the rows
-    first use it.  The rows are then walked with their parts descending,
-    keeping a stack of prefix products: a row reuses the products over
-    the leading parts it shares with the row before and multiplies in
-    only its other parts."""
-    index = realizable_partitions(multidegree)
-    digit = multidegree[0].bit_length()  # room for every multiplicity
+    first use it, and a row is the product of its members' CMFs.  The
+    first row's member, of the whole multidegree, is computed before the
+    partitions are enumerated, so its own caps apply before the row
+    budget of `realizable_partitions`."""
+    n, w = multidegree
+    digit = n.bit_length()  # room for every multiplicity
     shifts: dict[Vector, int] = {}  # part -> shift of its multiplicity digit
 
     def code(partition: VectorPartition) -> int:
         return sum(1 << shifts.setdefault(part, digit * len(shifts)) for part in partition.parts)
 
+    @cache
+    def member(part: Vector) -> dict[int, int]:
+        element = cmf(family_graph(family, VectorPartition.from_canonical(2, (part,))))
+        return {code(p): c for p, c in element.terms.items()}
+
+    if w >= n >= 1:
+        member((n, w))
+    index = realizable_partitions(multidegree)
     column = {code(p): j for j, p in enumerate(index)}
-    members: dict[Vector, dict[int, int]] = {}
+    matrix = []
     for partition in index:
+        product = {0: 1}
         for part in partition.parts:
-            if part not in members:
-                member = cmf(family_graph(family, VectorPartition.from_canonical(2, (part,))))
-                members[part] = {code(p): c for p, c in member.terms.items()}
-    matrix = [[0] * len(index) for _ in index]
-    path: list[Vector] = []
-    products: list[dict[int, int]] = [{0: 1}]  # products[d]: over path[:d]
-    for i in sorted(range(len(index)), key=lambda i: index[i].parts, reverse=True):
-        parts = index[i].parts
-        shared = 0
-        limit = min(len(path), len(parts))
-        while shared < limit and path[shared] == parts[shared]:
-            shared += 1
-        del path[shared:], products[shared + 1:]
-        for part in parts[shared:]:
-            path.append(part)
-            products.append(add_product({}, products[-1], members[part]))
-        for support, coeff in products[-1].items():
+            product = add_product({}, product, member(part))
+        row = [0] * len(index)
+        for support, coeff in product.items():
             if support in column:
-                matrix[i][column[support]] = coeff
+                row[column[support]] = coeff
             elif coeff:
                 parts_at = [part for part, shift in shifts.items()
                             for _ in range(support >> shift & (1 << digit) - 1)]
                 raise RuntimeError(f"CMF support {VectorPartition(2, tuple(parts_at))} "
                                    "outside the realizable partitions")
+        matrix.append(row)
     return matrix
 
 

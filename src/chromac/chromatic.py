@@ -201,15 +201,14 @@ def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
             plan = moves.get(labels)
             if plan is None:
                 plan = moves[labels] = _frontier_moves(labels, touching, staying)
-            for joins, sources, new_labels, shut_labels, shut_joined in plan:
+            for joins, sources, new_labels, shut_labels in plan:
                 joined = code_v
                 for label in joins:
                     joined += codes[label]
                 shut = closed
                 for label in shut_labels:
-                    shut += 1 << shifts.setdefault(codes[label], digit * len(shifts))
-                if shut_joined:
-                    shut += 1 << shifts.setdefault(joined, digit * len(shifts))
+                    shut += 1 << shifts.setdefault(joined if label < 0 else codes[label],
+                                                   digit * len(shifts))
                 key = (shut, new_labels,
                        tuple([joined if label < 0 else codes[label] for label in sources]))
                 placed[key] = placed.get(key, 0) + count
@@ -218,10 +217,9 @@ def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
                          shifts, 0, digit, radix, width, g.n)
 
 
-# (labels joined to the new vertex, old label of each new label or -1 for
-# the new vertex's component, new labels, old labels that close, whether
-# the new vertex's component closes)
-_Move = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], bool]
+# (labels joined to the new vertex, old label of each new label, new
+# labels, old labels that close), with -1 for the new vertex's component
+_Move = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def _frontier_moves(labels: tuple[int, ...], touching: list[int],
@@ -241,9 +239,9 @@ def _frontier_moves(labels: tuple[int, ...], touching: list[int],
             if label not in sources:
                 sources.append(label)
             new_labels.append(sources.index(label))
-        shut = tuple(label for label in range(len(set(labels)))
+        shut = tuple(label for label in (*range(len(set(labels))), -1)
                      if label not in joins and label not in sources)
-        moves.append((joins, tuple(sources), tuple(new_labels), shut, -1 not in sources))
+        moves.append((joins, tuple(sources), tuple(new_labels), shut))
     return moves
 
 

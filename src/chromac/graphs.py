@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .algebra import VectorPartition, Vector
+from .algebra import Vector
 from .errors import CapExceededError
 
 Edge = tuple[int, int]
@@ -133,34 +133,6 @@ def connected_components(g: WeightedGraph, subset: Iterable[Edge]) -> tuple[Comp
                 weight[i] += c
         components.append(Component(vertices, tuple(weight)))
     return tuple(components)
-
-
-def component_type(g: WeightedGraph, subset: Iterable[Edge]) -> VectorPartition:
-    """Vector partition with one part (size, weight...) per component of (V, subset)."""
-    parts = [(c.size,) + c.weight for c in connected_components(g, subset)]
-    return VectorPartition(g.r + 1, tuple(parts))
-
-
-def induced_subgraph(g: WeightedGraph, vertices: Iterable[int]) -> WeightedGraph:
-    """Subgraph on the given vertices, re-indexed 0..|A|-1 in sorted order."""
-    chosen = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(chosen)}
-    edges = tuple((index[u], index[v]) for u, v in g.edges if u in index and v in index)
-    return WeightedGraph(len(chosen), tuple(g.weights[v] for v in chosen), edges, g.r)
-
-
-def ext_int_counts(g: WeightedGraph, vertices: Iterable[int]) -> tuple[int, int]:
-    """(external, internal) edge counts for a vertex subset: external edges
-    meet the subset in exactly one endpoint, internal ones in both."""
-    chosen = set(vertices)
-    external = internal = 0
-    for u, v in g.edges:
-        inside = (u in chosen) + (v in chosen)
-        if inside == 1:
-            external += 1
-        elif inside == 2:
-            internal += 1
-    return external, internal
 
 
 def disjoint_union(a: WeightedGraph, b: WeightedGraph) -> WeightedGraph:

@@ -16,6 +16,7 @@ route's kernel-to-buckets pass, `hopf._convolution_buckets`.
 from __future__ import annotations
 
 from .algebra import LaurentPolynomial, VectorPartition, _expand_one_minus_u, unpack
+from .chromatic import egdp_variables
 from .errors import NotApplicableError
 from .hopf import _convolution_buckets
 
@@ -61,4 +62,4 @@ def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
     if total != 2 ** n:
         raise ValueError(f"reconstructed coefficients sum to {total}, expected 2^{n}; "
                          "the table is not a forest subset-type table for these parameters")
-    return LaurentPolynomial(("w", "x", "y", "z"), terms)
+    return LaurentPolynomial(egdp_variables(1), terms)

@@ -1,12 +1,15 @@
 """Shared fixtures: the weight-swapped path pair, a deterministic graph
-corpus, weight patterns for exhaustive tree sweeps, the binomial,
-tensor-product and counting-functional helpers that only tests use,
-Hopf-axiom checkers used by both the unit and acceptance suites, and
-definitional oracles for the CMF and EGDP dynamic programs, the packed
-truncation, the backtracking coloring enumeration, the one-pass
-specialisations, the grouped coproduct, the trie-kernel Hopf
-evaluations, the bucketed (1 - u) expansion, the explicit recovery route
-and the trie-product transition matrices."""
+corpus, weight patterns for exhaustive tree sweeps, the helpers that
+only tests use (the binomial; the tensor product, sum and factor swap;
+the counting functional; and a graph's subset statistics: the component
+type of an edge subset, the induced subgraph and the external and
+internal edge counts of a vertex subset), Hopf-axiom checkers used by
+both the unit and acceptance suites, and definitional oracles for the
+CMF and EGDP dynamic programs, the packed truncation, the backtracking
+coloring enumeration, the one-pass specialisations, the grouped
+coproduct, the trie-kernel Hopf evaluations, the bucketed (1 - u)
+expansion, the explicit recovery route and the product transition
+matrices."""
 
 from __future__ import annotations
 
@@ -20,11 +23,10 @@ import pytest
 
 from chromac import (LaurentPolynomial, LinearFunctional, MacMahonElement,
                      NotApplicableError, TensorElement, VectorPartition,
-                     WeightedGraph, antipode, cmf, component_type, convolve,
-                     coproduct, counterexample_pair, cycle_graph,
-                     egdp_variables, ext_int_counts, family_graph,
-                     partitions_of, path_graph, realizable_partitions,
-                     star_graph, truncation_variables)
+                     WeightedGraph, antipode, cmf, connected_components,
+                     convolve, coproduct, counterexample_pair, cycle_graph,
+                     egdp_variables, family_graph, partitions_of, path_graph,
+                     realizable_partitions, star_graph, truncation_variables)
 from chromac.algebra import _one_minus_u_power, add_product
 from chromac.bases import Family
 from chromac.hopf import counting_variables
@@ -148,6 +150,21 @@ def tensor_product(left: MacMahonElement, right: MacMahonElement) -> TensorEleme
             key = (p1, p2)
             terms[key] = terms.get(key, 0) + c1 * c2
     return TensorElement(left.width, terms)
+
+
+def tensor_sum(width: int, tensors: Iterable[TensorElement]) -> TensorElement:
+    """Sum of tensor elements of the given width."""
+    terms: dict[tuple[VectorPartition, VectorPartition], int] = {}
+    for tensor in tensors:
+        for key, c in tensor.terms.items():
+            terms[key] = terms.get(key, 0) + c
+    return TensorElement(width, terms)
+
+
+def swap(tensor: TensorElement) -> TensorElement:
+    """The tensor with its two factors exchanged in every term."""
+    return TensorElement(tensor.width,
+                         {(right, left): c for (left, right), c in tensor.terms.items()})
 
 
 def counting_functional(t: LaurentPolynomial | int, u: LaurentPolynomial | int,
@@ -406,6 +423,38 @@ def specialize_egdp_two_pass(poly: LaurentPolynomial, target: str) -> LaurentPol
 
 
 # ---------------------------------------------------------------------------
+# Subset statistics of a graph
+
+
+def component_type(g: WeightedGraph, subset: Iterable[tuple[int, int]]) -> VectorPartition:
+    """Vector partition with one part (size, weight...) per component of (V, subset)."""
+    parts = [(c.size,) + c.weight for c in connected_components(g, subset)]
+    return VectorPartition(g.r + 1, tuple(parts))
+
+
+def induced_subgraph(g: WeightedGraph, vertices: Iterable[int]) -> WeightedGraph:
+    """Subgraph on the given vertices, re-indexed 0..|A|-1 in sorted order."""
+    chosen = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(chosen)}
+    edges = tuple((index[u], index[v]) for u, v in g.edges if u in index and v in index)
+    return WeightedGraph(len(chosen), tuple(g.weights[v] for v in chosen), edges, g.r)
+
+
+def ext_int_counts(g: WeightedGraph, vertices: Iterable[int]) -> tuple[int, int]:
+    """(external, internal) edge counts for a vertex subset: external edges
+    meet the subset in exactly one endpoint, internal ones in both."""
+    chosen = set(vertices)
+    external = internal = 0
+    for u, v in g.edges:
+        inside = (u in chosen) + (v in chosen)
+        if inside == 1:
+            external += 1
+        elif inside == 2:
+            internal += 1
+    return external, internal
+
+
+# ---------------------------------------------------------------------------
 # Definitional oracles for the CMF and EGDP dynamic programs
 
 
@@ -569,7 +618,7 @@ def expand_one_minus_u_per_code(buckets: dict[int, dict[int, dict[int, int]]],
 
 
 # ---------------------------------------------------------------------------
-# Definitional oracle for the trie-product transition matrices
+# Definitional oracle for the product transition matrices
 
 
 def transition_matrix_by_family_graphs(family: Family,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from chromac import (CapExceededError, MacMahonElement, VectorPartition,
@@ -159,6 +161,25 @@ def test_transition_matrix_keeps_the_star_family_edge_cap():
     # the first row is the 32-vertex star itself
     with pytest.raises(CapExceededError, match="^31 edges exceeds the cap of 30$"):
         transition_matrix(star_family, (32, 32))
+
+
+@pytest.mark.parametrize("multidegree", [(12, 24), (20, 40)])
+def test_transition_matrix_refuses_more_rows_than_its_budget(multidegree):
+    # 30,798 rows at (12, 24); the enumeration stops at the budget
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=(
+            rf"^multidegree \({multidegree[0]},{multidegree[1]}\) has more than 4096 "
+            "realizable partitions, the row budget of a transition matrix$")):
+        transition_matrix(star_family, multidegree)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_row_budget_admits_exactly_its_count(monkeypatch):
+    monkeypatch.setattr(bases, "TRANSITION_MATRIX_ROWS", 94)
+    assert len(transition_matrix(star_family, (7, 10))) == 94
+    monkeypatch.setattr(bases, "TRANSITION_MATRIX_ROWS", 93)
+    with pytest.raises(CapExceededError, match="more than 93 realizable partitions"):
+        realizable_partitions((7, 10))
 
 
 def test_transition_matrix_rejects_support_outside_the_index(monkeypatch):

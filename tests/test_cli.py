@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from chromac import (WeightedGraph, cycle_graph, parse_graph, path_graph,
+from chromac import (WeightedGraph, bases, cycle_graph, parse_graph, path_graph,
                      serialize_graph, single_vertex)
 from chromac.cli import main
 
@@ -262,6 +262,18 @@ def test_truncation_budget_exit_code(capsys, vertex_file):
                          "--truncate", str(10 ** 9))
     assert (code, out) == (3, "")
     assert "1000000000-color truncation exceeds" in err
+
+
+def test_star_matrix_row_budget_exit_code(capsys, monkeypatch):
+    """`bases check` exits 3 at the first multidegree past the row budget,
+    after the lines of the multidegrees before it."""
+    monkeypatch.setattr(bases, "TRANSITION_MATRIX_ROWS", 100)
+    code, out, err = run(capsys, "bases", "check", "--n-max", "12", "--weight-max", "24")
+    assert code == 3
+    assert out.splitlines()[-1] == "multidegree (4,15): size 88 ok"
+    assert "RESULT" not in out
+    assert err == ("error: multidegree (4,16) has more than 100 realizable partitions, "
+                   "the row budget of a transition matrix\n")
 
 
 def test_truncate_needs_cmf(capsys, edge_file):

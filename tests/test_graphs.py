@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 from chromac import (GraphFormatError, VectorPartition, WeightedGraph,
-                     all_labeled_trees, component_type, connected_components,
-                     counterexample_pair, disjoint_union, ext_int_counts,
-                     induced_subgraph, parse_graph, path_graph, random_forest,
-                     serialize_graph, star_graph, tree_from_pruefer)
+                     all_labeled_trees, connected_components,
+                     counterexample_pair, disjoint_union, parse_graph,
+                     path_graph, random_forest, serialize_graph, star_graph,
+                     tree_from_pruefer)
 
-from conftest import random_simple_graph
+from conftest import component_type, ext_int_counts, induced_subgraph, random_simple_graph
 
 
 # ---------------------------------------------------------------------------
