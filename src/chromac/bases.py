@@ -8,10 +8,12 @@ tree-shaped families it is triangular with entries +-1 on the diagonal
 under the canonical partition order, so the family CMFs form a basis.
 
 The CMF is multiplicative over disjoint unions, so the row of a
-partition is the product of its members' CMFs.  `transition_matrix`
-computes one CMF per distinct part, of that part's member alone, and
-multiplies each row's members in turn.  A matrix has one row per
-realizable partition, at most `TRANSITION_MATRIX_ROWS` of them.
+partition is the product of its members' CMFs, and the family graph of
+the definition, the disjoint union of the members, is never built.
+`transition_matrix` checks and computes one CMF per distinct part, of
+that part's member alone, and multiplies each row's members in turn.
+A matrix has one row per realizable partition, at most
+`TRANSITION_MATRIX_ROWS` of them.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from typing import Callable
 from .algebra import Vector, VectorPartition, add_product
 from .chromatic import cmf
 from .errors import CapExceededError
-from .graphs import (WeightedGraph, connected_components, disjoint_union,
-                     single_vertex, star_graph)
+from .graphs import UnionFind, WeightedGraph, single_vertex, star_graph
 
 Family = Callable[[int, int], WeightedGraph]
 
@@ -83,27 +84,28 @@ def realizable_partitions(multidegree: tuple[int, int]) -> list[VectorPartition]
     return sorted(found, key=VectorPartition.sort_key)
 
 
-def family_graph(family: Family, partition: VectorPartition) -> WeightedGraph:
-    """Disjoint union of family members, one per part of the partition."""
-    graph = WeightedGraph(0, (), (), 1)
-    for size, weight in partition.parts:
-        member = family(size, weight)
-        if member.r != 1:
-            raise ValueError("family members must have scalar weights")
-        if member.n != size or member.total_weight != (weight,):
-            raise ValueError(f"family graph for part ({size},{weight}) has "
-                             f"{member.n} vertices and weight {member.total_weight}")
-        if len(connected_components(member, member.edges)) != 1:
-            raise ValueError(f"family graph for part ({size},{weight}) is not connected")
-        graph = disjoint_union(graph, member)
-    return graph
+def _member(family: Family, part: Vector) -> WeightedGraph:
+    """The family's member for one part, checked for scalar weights, then
+    for the part's size and weight, then for one component: n - 1 of its
+    edges must each join two components of a union-find."""
+    size, weight = part
+    member = family(size, weight)
+    if member.r != 1:
+        raise ValueError("family members must have scalar weights")
+    if member.n != size or member.total_weight != (weight,):
+        raise ValueError(f"family graph for part ({size},{weight}) has "
+                         f"{member.n} vertices and weight {member.total_weight}")
+    components = UnionFind(member.n)
+    if sum(components.union(u, v) for u, v in member.edges) != member.n - 1:
+        raise ValueError(f"family graph for part ({size},{weight}) is not connected")
+    return member
 
 
 def transition_matrix(family: Family, multidegree: tuple[int, int]) -> list[list[int]]:
     """Square matrix of family-product CMFs in the power-sum basis.
 
-    Row i holds the coefficients of cmf(family graph of partition i) on
-    the realizable partitions of the multidegree, in canonical order.
+    Row i holds the coefficients of the CMF of partition i's members'
+    disjoint union on the realizable partitions, in canonical order.
 
     A partition is a packed code with one multiplicity digit per distinct
     part, as in the forest CMF, so multiplying CMFs adds codes.  Each
@@ -121,7 +123,7 @@ def transition_matrix(family: Family, multidegree: tuple[int, int]) -> list[list
 
     @cache
     def member(part: Vector) -> dict[int, int]:
-        element = cmf(family_graph(family, VectorPartition.from_canonical(2, (part,))))
+        element = cmf(_member(family, part))
         return {code(p): c for p, c in element.terms.items()}
 
     if w >= n >= 1:

@@ -38,7 +38,7 @@ DEFAULT_MAX_VERTICES = 25
 DEFAULT_MAX_COLORINGS = 10 ** 7
 EGDP_LIVE_TERMS = 1 << 19  # (frontier bits, exponent) terms of the EGDP dynamic program
 CMF_LIVE_STATES = 1 << 19  # states of the CMF frontier dynamic program being built
-FOREST_CMF_STATE_DIGITS = 1 << 27  # live states times distinct closed codes of the forest CMF DP
+CMF_STATE_DIGITS = 1 << 27  # live states times distinct closed codes of both CMF DPs
 
 
 def cmf(g: WeightedGraph, max_edges: int = DEFAULT_MAX_EDGES) -> MacMahonElement:
@@ -88,7 +88,7 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     every vertex has at most one placed neighbour, its parent, and comes
     after it; children merge in reverse walk order.  Every state is as
     wide as the run's distinct closed codes, so the live states of a
-    merge times those codes count against `FOREST_CMF_STATE_DIGITS`:
+    merge times those codes count against `CMF_STATE_DIGITS`:
     when a code closes for the first time, and in the product that builds
     the parent's states.
     """
@@ -101,7 +101,7 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     states = [{pack((1, *w), radix): 1} for w in g.weights]
     states.append({0: 1})
     exceeded = CapExceededError(f"the forest CMF dynamic program exceeds its budget of "
-                                f"{FOREST_CMF_STATE_DIGITS} live states times closed codes")
+                                f"{CMF_STATE_DIGITS} live states times closed codes")
     for v, frontier, touching, _ in reversed(list(_frontier_steps(g))):
         parent = frontier[touching[0]] if touching else g.n
         child = states[v]
@@ -111,13 +111,13 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
             shift = shifts.get(code)
             if shift is None:
                 shift = shifts[code] = low + digit * len(shifts)
-                if len(offers) * len(shifts) > FOREST_CMF_STATE_DIGITS:
+                if len(offers) * len(shifts) > CMF_STATE_DIGITS:
                     raise exceeded
             key = state - code + (1 << shift)  # open code 0: never a key of child
             offers[key] = offers.get(key, 0) + count
         try:
             states[parent] = add_product({}, states[parent], offers,
-                                         FOREST_CMF_STATE_DIGITS // max(1, len(shifts)))
+                                         CMF_STATE_DIGITS // max(1, len(shifts)))
         except CapExceededError:
             raise exceeded from None
         child.clear()
@@ -181,9 +181,11 @@ def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     sign is (-1)^(placed vertices - components), its count stays positive
     and `_closed_types` signs it.  A vertex leaves the frontier once all its
     neighbours are placed, and a component with no frontier vertex left
-    closes.  The states of a placement count against the budget
-    `CMF_LIVE_STATES`, checked before each state's moves, so it is passed
-    by at most the moves of one state.
+    closes.  Every state is as wide as the run's distinct closed codes, as
+    in the forest DP.  Before each state's moves, the states of the
+    placement count against the budget `CMF_LIVE_STATES`, and those states
+    times the closed codes against `CMF_STATE_DIGITS`, so neither is passed
+    by more than the moves of one state.
     """
     radix = max(g.n, *g.total_weight) + 1
     width = g.r + 1
@@ -198,6 +200,9 @@ def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
             if len(placed) > CMF_LIVE_STATES:
                 raise CapExceededError(
                     f"the CMF dynamic program exceeds its budget of {CMF_LIVE_STATES} live states")
+            if len(placed) * len(shifts) > CMF_STATE_DIGITS:
+                raise CapExceededError(f"the CMF dynamic program exceeds its budget of "
+                                       f"{CMF_STATE_DIGITS} live states times closed codes")
             plan = moves.get(labels)
             if plan is None:
                 plan = moves[labels] = _frontier_moves(labels, touching, staying)

@@ -2,7 +2,9 @@
 
 Vertices are 0..n-1.  Each vertex carries a weight vector in P^r (every
 coordinate >= 1); the scalar-weight case is r = 1.  Edges are unordered
-pairs stored as (u, v) with u < v, without loops or multiedges.
+pairs stored as (u, v) with u < v, without loops or multiedges.  One
+union-find serves every connectivity check: `is_forest` here and the
+connectivity of a family member in `bases`.
 """
 
 from __future__ import annotations
@@ -104,35 +106,6 @@ class WeightedGraph:
     def is_forest(self) -> bool:
         uf = UnionFind(self.n)
         return all(uf.union(u, v) for u, v in self.edges)
-
-
-@dataclass(frozen=True)
-class Component:
-    vertices: tuple[int, ...]
-    weight: Vector
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-
-def connected_components(g: WeightedGraph, subset: Iterable[Edge]) -> tuple[Component, ...]:
-    """Components of (V, subset), ordered by minimum vertex index."""
-    uf = UnionFind(g.n)
-    for u, v in subset:
-        uf.union(u, v)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(uf.find(v), []).append(v)
-    components = []
-    for root in sorted(groups):
-        vertices = tuple(groups[root])
-        weight = [0] * g.r
-        for v in vertices:
-            for i, c in enumerate(g.weights[v]):
-                weight[i] += c
-        components.append(Component(vertices, tuple(weight)))
-    return tuple(components)
 
 
 def disjoint_union(a: WeightedGraph, b: WeightedGraph) -> WeightedGraph:

@@ -1,13 +1,13 @@
 """Hopf structure on the power-sum basis and convolution-based recovery.
 
 The coproduct splits the parts of a basis symbol over all position
-subsets, grouped by how many copies of each distinct part go left, the
-antipode rescales by (-1)^length, and linear functionals into a Laurent
-ring can be convolved through the coproduct.  The
-counting functional sends a basis symbol of multidegree (n, w) and
-length l to t^n (1-u)^(n-l) v^w; on the CMF of a forest with e edges
-this collapses to the single monomial t^n u^e v^w, which is what makes
-the degree-polynomial recovery work.
+subsets, grouped by how many copies of each distinct part go left, up
+to a budget of such splits; the antipode rescales by (-1)^length, and
+linear functionals into a Laurent ring can be convolved through the
+coproduct.  The counting functional sends a basis symbol of
+multidegree (n, w) and length l to t^n (1-u)^(n-l) v^w; on the CMF of
+a forest with e edges this collapses to the single monomial t^n u^e v^w,
+which is what makes the degree-polynomial recovery work.
 
 The counting image and the convolution of two counting functionals
 never build the coproduct.  A counting functional reads only the grade
@@ -34,6 +34,9 @@ from .algebra import (LaurentPolynomial, MacMahonElement, TensorElement, Vector,
                       VectorPartition, _expand_one_minus_u, _one_minus_u_power,
                       character_sum, pack, unpack)
 from .chromatic import egdp_variables
+from .errors import CapExceededError
+
+COPRODUCT_SPLITS = 1 << 20  # multiplicity splits, so tensor terms, of one coproduct
 
 
 def coproduct(element: MacMahonElement) -> TensorElement:
@@ -42,11 +45,17 @@ def coproduct(element: MacMahonElement) -> TensorElement:
     Subsets that take the same number k_i of the m_i copies of each
     distinct part give the same tensor, so each choice of counts is one
     term with coefficient prod C(m_i, k_i).  Both sides keep the parts in
-    descending order, so they are built without re-sorting."""
+    descending order, so they are built without re-sorting.  The choices,
+    prod (m_i + 1) per basis symbol, are counted first, and past
+    `COPRODUCT_SPLITS` of them nothing is built."""
+    symbols = [(list(partition.multiplicities().items()), coeff)  # parts descending
+               for partition, coeff in element.terms.items()]
+    if sum(math.prod(m + 1 for _, m in groups) for groups, _ in symbols) > COPRODUCT_SPLITS:
+        raise CapExceededError(
+            f"the coproduct exceeds its budget of {COPRODUCT_SPLITS} multiplicity splits")
     terms: dict[tuple[VectorPartition, VectorPartition], int] = {}
     width = element.width
-    for partition, coeff in element.terms.items():
-        groups = list(partition.multiplicities().items())  # parts descending
+    for groups, coeff in symbols:
         for counts in itertools.product(*(range(m + 1) for _, m in groups)):
             left: tuple[Vector, ...] = ()
             right: tuple[Vector, ...] = ()

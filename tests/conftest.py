@@ -1,15 +1,16 @@
 """Shared fixtures: the weight-swapped path pair, a deterministic graph
 corpus, weight patterns for exhaustive tree sweeps, the helpers that
 only tests use (the binomial; the tensor product, sum and factor swap;
-the counting functional; and a graph's subset statistics: the component
-type of an edge subset, the induced subgraph and the external and
-internal edge counts of a vertex subset), Hopf-axiom checkers used by
-both the unit and acceptance suites, and definitional oracles for the
-CMF and EGDP dynamic programs, the packed truncation, the backtracking
-coloring enumeration, the one-pass specialisations, the grouped
-coproduct, the trie-kernel Hopf evaluations, the bucketed (1 - u)
+the counting functional; a graph's connected components and subset
+statistics: the component type of an edge subset, the induced subgraph
+and the external and internal edge counts of a vertex subset), Hopf-axiom
+checkers used by both the unit and acceptance suites, and definitional
+oracles for the CMF and EGDP dynamic programs, the packed truncation,
+the backtracking coloring enumeration, the one-pass specialisations, the
+grouped coproduct, the trie-kernel Hopf evaluations, the bucketed (1 - u)
 expansion, the explicit recovery route and the product transition
-matrices."""
+matrices (the family graph of a partition, the disjoint union of its
+checked members, row by row)."""
 
 from __future__ import annotations
 
@@ -17,18 +18,20 @@ import itertools
 import json
 import math
 import random
+from dataclasses import dataclass
 from typing import Iterable
 
 import pytest
 
 from chromac import (LaurentPolynomial, LinearFunctional, MacMahonElement,
                      NotApplicableError, TensorElement, VectorPartition,
-                     WeightedGraph, antipode, cmf, connected_components,
-                     convolve, coproduct, counterexample_pair, cycle_graph,
-                     egdp_variables, family_graph, partitions_of, path_graph,
+                     WeightedGraph, antipode, cmf, convolve, coproduct,
+                     counterexample_pair, cycle_graph, disjoint_union,
+                     egdp_variables, partitions_of, path_graph,
                      realizable_partitions, star_graph, truncation_variables)
-from chromac.algebra import _one_minus_u_power, add_product
+from chromac.algebra import Vector, _one_minus_u_power, add_product
 from chromac.bases import Family
+from chromac.graphs import UnionFind
 from chromac.hopf import counting_variables
 
 
@@ -426,6 +429,36 @@ def specialize_egdp_two_pass(poly: LaurentPolynomial, target: str) -> LaurentPol
 # Subset statistics of a graph
 
 
+@dataclass(frozen=True)
+class Component:
+    vertices: tuple[int, ...]
+    weight: Vector
+
+    @property
+    def size(self) -> int:
+        return len(self.vertices)
+
+
+def connected_components(g: WeightedGraph,
+                         subset: Iterable[tuple[int, int]]) -> tuple[Component, ...]:
+    """Components of (V, subset), ordered by minimum vertex index."""
+    uf = UnionFind(g.n)
+    for u, v in subset:
+        uf.union(u, v)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(uf.find(v), []).append(v)
+    components = []
+    for root in sorted(groups):
+        vertices = tuple(groups[root])
+        weight = [0] * g.r
+        for v in vertices:
+            for i, c in enumerate(g.weights[v]):
+                weight[i] += c
+        components.append(Component(vertices, tuple(weight)))
+    return tuple(components)
+
+
 def component_type(g: WeightedGraph, subset: Iterable[tuple[int, int]]) -> VectorPartition:
     """Vector partition with one part (size, weight...) per component of (V, subset)."""
     parts = [(c.size,) + c.weight for c in connected_components(g, subset)]
@@ -619,6 +652,24 @@ def expand_one_minus_u_per_code(buckets: dict[int, dict[int, dict[int, int]]],
 
 # ---------------------------------------------------------------------------
 # Definitional oracle for the product transition matrices
+
+
+def family_graph(family: Family, partition: VectorPartition) -> WeightedGraph:
+    """Disjoint union of family members, one per part of the partition,
+    each checked for scalar weights, its part's size and weight, and one
+    component."""
+    graph = WeightedGraph(0, (), (), 1)
+    for size, weight in partition.parts:
+        member = family(size, weight)
+        if member.r != 1:
+            raise ValueError("family members must have scalar weights")
+        if member.n != size or member.total_weight != (weight,):
+            raise ValueError(f"family graph for part ({size},{weight}) has "
+                             f"{member.n} vertices and weight {member.total_weight}")
+        if len(connected_components(member, member.edges)) != 1:
+            raise ValueError(f"family graph for part ({size},{weight}) is not connected")
+        graph = disjoint_union(graph, member)
+    return graph
 
 
 def transition_matrix_by_family_graphs(family: Family,

@@ -7,12 +7,12 @@ import time
 import pytest
 
 from chromac import (CapExceededError, MacMahonElement, VectorPartition,
-                     WeightedGraph, bases, cmf, cycle_graph, family_graph,
+                     WeightedGraph, bases, cmf, cycle_graph,
                      is_triangular_with_unit_diagonal, matrix_to_text,
                      partitions_of, path_graph, realizable_partitions,
                      single_vertex, star_family, transition_matrix)
 
-from conftest import transition_matrix_by_family_graphs
+from conftest import family_graph, transition_matrix_by_family_graphs
 
 
 def vp(*parts):
@@ -92,6 +92,12 @@ def test_cmf_support_is_realizable():
 
 # ---------------------------------------------------------------------------
 # Family graphs for partitions
+
+
+@pytest.mark.parametrize("name", ["family_graph", "connected_components", "Component"])
+def test_the_definitional_helpers_are_not_exported(name):
+    with pytest.raises(ImportError):
+        exec(f"from chromac import {name}")
 
 
 def test_family_graph_disjoint_union():

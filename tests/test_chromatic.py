@@ -182,10 +182,19 @@ def widest_frontier(g: WeightedGraph) -> int:
     return widest
 
 
+def chord_star(k: int) -> WeightedGraph:
+    """The star with leaf weights 1, 2, 4, ..., 2^(k-1) and a chord
+    between its first two leaves."""
+    star = star_graph(1, [2 ** i for i in range(k)])
+    return WeightedGraph(star.n, star.weights, star.edges + ((1, 2),))
+
+
 def _cyclic_oracle_graphs() -> list[WeightedGraph]:
     """Seeded random graphs with a cycle (r = 1, 2, 3, n <= 9, at most 12
-    edges), K3-K6, a cycle next to a tree and an isolated vertex, and the
-    Petersen graph, whose placement order keeps five vertices open."""
+    edges), K3-K6, a cycle next to a tree and an isolated vertex, the
+    chord star with k = 12, whose centre closes with thousands of
+    distinct codes, and the Petersen graph, whose placement order keeps
+    five vertices open."""
     rng = random.Random(5151)
     graphs = []
     for r in (1, 2, 3):
@@ -198,6 +207,7 @@ def _cyclic_oracle_graphs() -> list[WeightedGraph]:
     graphs.append(complete_graph([(1, 2), (2, 1), (1, 1), (2, 2)]))
     graphs.append(disjoint_union(disjoint_union(cycle_graph([2, 1, 1, 3]), star_graph(1, [2, 2])),
                                  single_vertex(4)))
+    graphs.append(chord_star(12))
     graphs.append(petersen_graph([i % 2 + 1 for i in range(10)]))
     return graphs
 
@@ -272,12 +282,12 @@ def test_forest_dp_refuses_the_power_of_two_star_early(capsys, tmp_path):
     """With leaf weights 1, 2, 4, ... every edge subset of the star has its
     own type, so the root's merge closes 2^k distinct codes and each state
     needs a digit for each: live states times closed codes pass
-    FOREST_CMF_STATE_DIGITS at k = 14.  At k = 16 the refusal comes as the
+    CMF_STATE_DIGITS at k = 14.  At k = 16 the refusal comes as the
     root's codes close, long before the states would fill gigabytes."""
     assert len(cmf(star_graph(1, [2 ** i for i in range(12)])).terms) == 2 ** 12
     star = star_graph(1, [2 ** i for i in range(16)])
     message = (f"the forest CMF dynamic program exceeds its budget of "
-               f"{chromatic.FOREST_CMF_STATE_DIGITS} live states times closed codes")
+               f"{chromatic.CMF_STATE_DIGITS} live states times closed codes")
     start = time.perf_counter()
     with pytest.raises(CapExceededError, match=f"^{message}$"):
         cmf(star)
@@ -293,10 +303,29 @@ def test_forest_dp_budget_bounds_the_merge_products(monkeypatch):
     # budget of 10,000 before any closing code does
     path = path_graph([1, 2, 3] * 4)
     assert cmf(path) == cmf_by_edge_subsets(path)
-    monkeypatch.setattr(chromatic, "FOREST_CMF_STATE_DIGITS", 10_000)
+    monkeypatch.setattr(chromatic, "CMF_STATE_DIGITS", 10_000)
     with pytest.raises(CapExceededError, match="^the forest CMF dynamic program exceeds its "
                                                "budget of 10000 live states times closed codes$"):
         cmf(path)
+
+
+def test_cyclic_dp_refuses_the_power_of_two_chord_star_early(capsys, tmp_path):
+    """The centre's component closes at the last placement with its own
+    code in nearly every state, so live states times closed codes pass
+    CMF_STATE_DIGITS at k = 14, as on the star without the chord.  At
+    k = 16 the refusal comes during that placement, long before the
+    states would fill gigabytes."""
+    star = chord_star(16)
+    message = (f"the CMF dynamic program exceeds its budget of "
+               f"{chromatic.CMF_STATE_DIGITS} live states times closed codes")
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=f"^{message}$"):
+        cmf(star)
+    assert time.perf_counter() - start < 1
+    path = tmp_path / "chord16.graph"
+    path.write_text(serialize_graph(star))
+    assert main(["compute", str(path), "--invariant", "cmf"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_egdp_budget_raises_before_the_step_that_could_exceed_it(monkeypatch, capsys, tmp_path):

@@ -8,12 +8,13 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from chromac import (WeightedGraph, bases, cycle_graph, parse_graph, path_graph,
-                     serialize_graph, single_vertex)
+                     serialize_graph, single_vertex, star_graph)
 from chromac.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -274,6 +275,19 @@ def test_star_matrix_row_budget_exit_code(capsys, monkeypatch):
     assert "RESULT" not in out
     assert err == ("error: multidegree (4,16) has more than 100 realizable partitions, "
                    "the row budget of a transition matrix\n")
+
+
+def test_coproduct_budget_exit_code(capsys, tmp_path):
+    """The star with leaf weights 1, 2, ..., 2^12 has 2 * 3^13 - 2^12
+    coproduct splits, past the budget of 2^20; nothing is printed."""
+    path = tmp_path / "star13.graph"
+    path.write_text(serialize_graph(star_graph(1, [2 ** i for i in range(13)])))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hopf", str(path), "--op", "coproduct")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == "error: the coproduct exceeds its budget of 1048576 multiplicity splits\n"
 
 
 def test_truncate_needs_cmf(capsys, edge_file):

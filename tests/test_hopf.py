@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromac import (LaurentPolynomial, LinearFunctional, MacMahonElement,
-                     VectorPartition, WeightedGraph, antipode,
+from chromac import (CapExceededError, LaurentPolynomial, LinearFunctional,
+                     MacMahonElement, VectorPartition, WeightedGraph, antipode,
                      beta_table, cmf, convolve, coproduct, cycle_graph, egdp,
-                     egdp_convolution, partitions_of, path_graph,
+                     egdp_convolution, hopf, partitions_of, path_graph,
                      random_forest, recover_egdp_explicit, recover_egdp_hopf,
                      recover_stats, single_vertex, symbolic_counting_image)
 
@@ -63,6 +63,17 @@ def test_coproduct_counts_repeated_parts():
         (vp((1, 1)), vp((1, 1))): 2,
         (EMPTY, pair): 1,
     }
+
+
+def test_the_coproduct_budget_admits_exactly_its_count(monkeypatch):
+    # 3 * 2 splits of the first symbol and 2 of the second
+    element = p_((1, 1), (1, 1), (1, 2)) + p_((2, 3))
+    monkeypatch.setattr(hopf, "COPRODUCT_SPLITS", 8)
+    assert coproduct(element) == coproduct_by_positions(element)
+    monkeypatch.setattr(hopf, "COPRODUCT_SPLITS", 7)
+    with pytest.raises(CapExceededError,
+                       match="^the coproduct exceeds its budget of 7 multiplicity splits$"):
+        coproduct(element)
 
 
 def test_coproduct_is_linear():
