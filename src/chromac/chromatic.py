@@ -125,10 +125,11 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
 
 
 def _frontier_steps(g: WeightedGraph) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
-    """The walk of all three graph dynamic programs: all vertices, one at
-    a time, each next one the unplaced vertex with the most placed
-    neighbours, ties to the smaller index, so that the frontier (the placed
-    vertices that still have an unplaced neighbour) stays narrow.
+    """The walk of all three graph dynamic programs and of the coloring
+    oracle: all vertices, one at a time, each next one the unplaced vertex
+    with the most placed neighbours, ties to the smaller index, so that
+    the frontier (the placed vertices that still have an unplaced
+    neighbour) stays narrow.
 
     Yields per vertex v: v, the frontier with v appended, the positions
     in it of v's placed neighbours and the positions that stay on the
@@ -369,9 +370,10 @@ def cmf_by_enumeration(g: WeightedGraph, colors: int,
     with the given number of colors, independent of the CMF.
 
     Backtracking with an explicit stack colors the vertices one at a time
-    in breadth-first order, each only with colors its earlier neighbours
-    do not use, adding its exponents on the way down and subtracting them
-    on the way back; so the cost follows the number of proper colorings,
+    in the order of the shared walk `_frontier_steps`, each only with
+    colors its earlier neighbours (all on the walk's frontier) do not
+    use, adding its exponents on the way down and subtracting them on
+    the way back; so the cost follows the number of proper colorings,
     though the cap counts all colors^n.  Terms of colors * (r + 1)
     exponents count against TRUNCATE_LIVE_EXPONENTS as in truncate: too
     many colors for one vertex's terms are refused before anything is
@@ -388,26 +390,13 @@ def cmf_by_enumeration(g: WeightedGraph, colors: int,
     if colors > budget:
         raise exceeded
     names = truncation_variables(block, colors)
-    neighbours: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    order: list[int] = []
     position = [-1] * g.n
-    head = 0
-    for root in range(g.n):  # breadth first, from each vertex not reached yet
-        if position[root] < 0:
-            position[root] = len(order)
-            order.append(root)
-        while head < len(order):
-            for u in neighbours[order[head]]:
-                if position[u] < 0:
-                    position[u] = len(order)
-                    order.append(u)
-            head += 1
-    earlier = [[position[u] for u in neighbours[v] if position[u] < i]
-               for i, v in enumerate(order)]
-    exponents = [(1, *g.weights[v]) for v in order]
+    exponents: list[tuple[int, ...]] = []  # per position, its vertex's exponents
+    earlier: list[list[int]] = []  # per position, those of its placed neighbours
+    for v, frontier, touching, _ in _frontier_steps(g):
+        position[v] = len(exponents)
+        exponents.append((1, *g.weights[v]))
+        earlier.append([position[frontier[i]] for i in touching])
     exps = [0] * len(names)
     if not g.n:
         return LaurentPolynomial(names, {tuple(exps): 1})

@@ -22,7 +22,6 @@ from .graphs import (GraphFormatError, WeightedGraph, all_labeled_trees,
                      counterexample_pair, parse_graph, random_forest, serialize_graph)
 from .hopf import (antipode, coproduct, egdp_convolution, recover_egdp_hopf,
                    recover_stats, symbolic_counting_image)
-from .recovery import recover_egdp_explicit
 
 
 def _int_at_least(least: int) -> Callable[[str], int]:
@@ -99,19 +98,14 @@ def _weight_assignments(n: int, weight_max: int, r: int) -> Iterator[tuple[tuple
 
 
 def _check_forest(g: WeightedGraph) -> str | None:
-    """Verify both recovery routes against `egdp`, a frontier dynamic
-    program that does not go through the CMF; returns an error description
-    or None."""
-    expected = egdp(g)
-    element = cmf(g)
-    recovered = recover_egdp_hopf(element)
-    if recovered != expected:
+    """Verify the Hopf route against `egdp`, a frontier dynamic program
+    that does not go through the CMF; returns an error description or
+    None.  On a forest the explicit route expands the same convolution
+    grid, so it returns the EGDP whenever this route does; the tests
+    check it against `egdp` and its per-type oracle on their own."""
+    expected = egdp(g)  # first, so its vertex cap refuses a large forest early
+    if recover_egdp_hopf(cmf(g)) != expected:
         return "hopf route mismatch"
-    if g.r == 1:
-        table = {partition: abs(coeff) for partition, coeff in element.terms.items()}
-        explicit = recover_egdp_explicit(table, g.n, g.total_weight[0], g.edge_count)
-        if explicit != expected:
-            return "explicit route mismatch"
     return None
 
 
@@ -197,18 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["cmf", "wcsf", "csf", "beta", "egdp", "wgdp", "gdp"])
     compute.add_argument("--truncate", type=_int_at_least(0), default=None, metavar="K",
                          help="expand the cmf in K colors")
-    compute.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
-    compute.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    compute.add_argument("--max-edges", type=_int_at_least(0), default=DEFAULT_MAX_EDGES)
+    compute.add_argument("--max-vertices", type=_int_at_least(0), default=DEFAULT_MAX_VERTICES)
     compute.set_defaults(func=cmd_compute)
 
     hopf = sub.add_parser("hopf", help="Hopf-structure computations on the cmf")
     hopf.add_argument("path")
     hopf.add_argument("--op", required=True,
                       choices=["coproduct", "antipode", "phi", "gamma", "stats"])
-    hopf.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
+    hopf.add_argument("--max-edges", type=_int_at_least(0), default=DEFAULT_MAX_EDGES)
     hopf.set_defaults(func=cmd_hopf)
 
-    verify = sub.add_parser("verify", help="check both EGDP recovery routes on forests")
+    verify = sub.add_parser("verify", help="check the Hopf EGDP recovery route on forests")
     verify.add_argument("--mode", choices=["exhaustive", "random"], default="random")
     verify.add_argument("--n-max", type=_int_at_least(1), default=5)
     verify.add_argument("--weight-max", type=_int_at_least(1), default=2)

@@ -11,6 +11,12 @@ pointwise as oracles for the assembly below.  The binomial tops are the
 powers of (1 - z/w) and (1 - 1/w) in the Hopf route's convolution, so
 the assembly sums the signed counts of all types at once with that
 route's kernel-to-buckets pass, `hopf._convolution_buckets`.
+
+On a forest's table (the CMF's coefficients in absolute value) this
+route expands the same grid as `hopf.recover_egdp_hopf`, so it returns
+the EGDP whenever that route does; `chromac verify` therefore runs the
+Hopf route alone.  The tests check this route on its own, against the
+EGDP frontier dynamic program and the per-type pointwise oracle.
 """
 
 from __future__ import annotations

@@ -146,6 +146,32 @@ def test_verify_random_multiweight(capsys):
     assert out.endswith("RESULT: PASS\n")
 
 
+def test_verify_runs_the_convolution_kernel_once_per_forest(capsys, monkeypatch):
+    import chromac.cli as cli
+    import chromac.hopf as hopf
+    kernel_calls = []
+    per_forest = []
+    character_sum, check_forest = hopf.character_sum, cli._check_forest
+
+    def counting_sum(*args, **kwargs):
+        kernel_calls.append(1)
+        return character_sum(*args, **kwargs)
+
+    def counting_check(g):
+        before = len(kernel_calls)
+        failure = check_forest(g)
+        per_forest.append(len(kernel_calls) - before)
+        return failure
+
+    monkeypatch.setattr(hopf, "character_sum", counting_sum)
+    monkeypatch.setattr(cli, "_check_forest", counting_check)
+    code, out, _ = run(capsys, "verify", "--mode", "exhaustive", "--n-max", "4")
+    assert code == 0
+    # 2 + 4 + 3 * 8 + 16 * 16 forests
+    assert out == "mode: exhaustive\nchecked: 286 forests\nRESULT: PASS\n"
+    assert per_forest == [1] * 286
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
 def test_verify_prints_a_reproducer_on_failure(capsys, monkeypatch, mode):
     import chromac.cli as cli
@@ -324,6 +350,9 @@ def test_beta_on_a_cycle_is_not_applicable(capsys, tmp_path):
     ["compute", "g.graph", "--invariant", "cmf", "--truncate", "-1"],
     ["random-forest", "--n", "-1"],
     ["random-forest", "--n", "3", "--max-weight", "0"],
+    ["compute", "g.graph", "--invariant", "cmf", "--max-edges", "-5"],
+    ["compute", "g.graph", "--invariant", "egdp", "--max-vertices", "-1"],
+    ["hopf", "g.graph", "--op", "stats", "--max-edges", "-1"],
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chromac import (NotApplicableError, VectorPartition, all_labeled_trees,
-                     beta_table, egdp, path_graph, random_forest,
-                     recover_egdp_explicit, single_vertex, star_graph)
+import chromac.hopf
+import chromac.recovery
+from chromac import (NotApplicableError, VectorPartition, WeightedGraph, all_labeled_trees,
+                     beta_table, cmf, egdp, path_graph, random_forest, recover_egdp_explicit,
+                     recover_egdp_hopf, single_vertex, star_graph)
+from chromac.algebra import _expand_one_minus_u
 
 from conftest import (choose, partition_binomial, recover_egdp_explicit_per_type,
                       recovery_coefficient, signed_binomial_sum,
@@ -151,6 +155,38 @@ def test_explicit_route_random_forests():
     for trial in range(25):
         g = random_forest(rng.randint(0, 8), max_weight=4, seed=3000 + trial)
         assert _explicit(g) == egdp(g)
+
+
+def test_both_routes_expand_the_same_grid_on_forests(monkeypatch):
+    """On a forest's CMF the two routes hand `_expand_one_minus_u` the same
+    w unit and the same nonzero bucket entries (so the explicit route's
+    negative-top filter drops nothing) and get the same nonzero grid back:
+    the premise on which `verify` runs the Hopf route alone."""
+    handed = []
+
+    def spy(buckets, w_unit):
+        grid = _expand_one_minus_u(buckets, w_unit)
+        handed.append((w_unit,
+                       {(p, q, code): c for p, by_q in buckets.items()
+                        for q, codes in by_q.items() for code, c in codes.items() if c},
+                       {code: c for code, c in grid.items() if c}))
+        return grid
+
+    monkeypatch.setattr(chromac.hopf, "_expand_one_minus_u", spy)
+    monkeypatch.setattr(chromac.recovery, "_expand_one_minus_u", spy)
+    forests = [WeightedGraph(n, tuple((x,) for x in weights), edges)
+               for n in range(1, 6) for edges in all_labeled_trees(n)
+               for weights in itertools.product((1, 2), repeat=n)]
+    rng = random.Random(127)
+    forests += [random_forest(rng.randint(1, 16), max_weight=rng.choice([1, 2, 4]),
+                              seed=rng.randrange(2 ** 32)) for _ in range(100)]
+    for g in forests:
+        handed.clear()
+        element = cmf(g)
+        recover_egdp_hopf(element)
+        recover_egdp_explicit({p: abs(c) for p, c in element.terms.items()},
+                              g.n, g.total_weight[0], g.edge_count)
+        assert len(handed) == 2 and handed[0] == handed[1], g
 
 
 def test_explicit_route_grade_mismatch():
