@@ -5,7 +5,8 @@ vectors in P^r lives in the width r+1 power-sum algebra: by inclusion-
 exclusion over edge subsets S, each S contributes (-1)^|S| times the
 basis symbol of its component type.  Truncating to k colors recovers
 the generating function of proper k-colorings, which is also computed
-here by backtracking over those colorings as an independent cross-check.
+here, as an independent cross-check, by a frontier dynamic program over
+those colorings.
 
 The extended generalized degree polynomial (EGDP) records, for every
 vertex subset A, the external edge count, cardinality, weight and
@@ -15,11 +16,12 @@ On a forest the CMF comes from a dynamic program over each tree, rooted
 by the walk that all three graph dynamic programs share, which merges
 every child into its parent, so its cost follows the number of distinct
 partial results rather than 2^e edge subsets; a forest's subset-type
-table (beta) is read off its CMF.  The CMF of a graph with a cycle and
-the EGDP of every graph come from frontier dynamic programs that place
-the vertices one at a time along that walk: the CMF's keeps, per state,
-the components that are still open, the EGDP's the in/out bits of the
-placed vertices that still have an unplaced neighbour.
+table (beta) is read off its CMF.  The CMF of a graph with a cycle, the
+EGDP of every graph and the coloring oracle come from frontier dynamic
+programs that place the vertices one at a time along that walk: the
+CMF's keeps, per state, the components that are still open, the EGDP's
+the in/out bits of the placed vertices that still have an unplaced
+neighbour, the oracle's their colors.
 """
 
 from __future__ import annotations
@@ -369,60 +371,43 @@ def cmf_by_enumeration(g: WeightedGraph, colors: int,
     """Truncated CMF as the generating function of the proper colorings
     with the given number of colors, independent of the CMF.
 
-    Backtracking with an explicit stack colors the vertices one at a time
-    in the order of the shared walk `_frontier_steps`, each only with
-    colors its earlier neighbours (all on the walk's frontier) do not
-    use, adding its exponents on the way down and subtracting them on
-    the way back; so the cost follows the number of proper colorings,
-    though the cap counts all colors^n.  Terms of colors * (r + 1)
-    exponents count against TRUNCATE_LIVE_EXPONENTS as in truncate: too
-    many colors for one vertex's terms are refused before anything is
-    built, and past it as terms are added the search raises
+    A frontier dynamic program along `_frontier_steps`, like `egdp`: a
+    state is the colors of the frontier vertices, by frontier position,
+    and the placed vertices' exponents packed as `truncate` packs them,
+    so colorings that agree on both merge.  Placing v gives it every
+    color that no placed neighbour (all on the frontier) holds.  The cap
+    counts all colors^n colorings.  A state of colors * (r + 1) exponents
+    counts against TRUNCATE_LIVE_EXPONENTS as in truncate: too many
+    colors for one vertex's states are refused before anything is built,
+    and past it, checked after each state's moves, the program raises
     CapExceededError."""
     if colors < 0:
         raise ValueError("number of colors must be >= 0")
     if colors ** g.n > max_colorings:
         raise CapExceededError(f"{colors}^{g.n} colorings exceeds the cap of {max_colorings}")
     block = g.r + 1
-    budget = TRUNCATE_LIVE_EXPONENTS // max(1, colors * block)  # in terms
+    budget = TRUNCATE_LIVE_EXPONENTS // max(1, colors * block)  # in states
     exceeded = CapExceededError(f"the {colors}-color coloring enumeration exceeds its "
                                 f"budget of {TRUNCATE_LIVE_EXPONENTS} live exponents")
     if colors > budget:
         raise exceeded
     names = truncation_variables(block, colors)
-    position = [-1] * g.n
-    exponents: list[tuple[int, ...]] = []  # per position, its vertex's exponents
-    earlier: list[list[int]] = []  # per position, those of its placed neighbours
-    for v, frontier, touching, _ in _frontier_steps(g):
-        position[v] = len(exponents)
-        exponents.append((1, *g.weights[v]))
-        earlier.append([position[frontier[i]] for i in touching])
-    exps = [0] * len(names)
-    if not g.n:
-        return LaurentPolynomial(names, {tuple(exps): 1})
-    terms: dict[tuple[int, ...], int] = {}
-    color = [-1] * g.n  # per position, its color now, -1 for none
-    untried = [list(range(colors))]  # per position being colored, the colors left to try
-    while untried:
-        i = len(untried) - 1
-        if color[i] >= 0:  # back from the colors below: take position i's color off
-            base = color[i] * block
-            for t, x in enumerate(exponents[i]):
-                exps[base + t] -= x
-            color[i] = -1
-        if not untried[i]:
-            untried.pop()
-            continue
-        color[i] = untried[i].pop()
-        base = color[i] * block
-        for t, x in enumerate(exponents[i]):
-            exps[base + t] += x
-        if i + 1 < g.n:
-            used = {color[j] for j in earlier[i + 1]}
-            untried.append([c for c in range(colors) if c not in used])
-            continue
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + 1
-        if len(terms) > budget:
-            raise exceeded
-    return LaurentPolynomial(names, terms)
+    radix = max(g.n, *g.total_weight) + 1
+    steps = [radix ** (block * (colors - 1 - c)) for c in range(colors)]  # color c's digit group
+    states: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}  # (held, exponents) -> count
+    for v, _, touching, staying in _frontier_steps(g):
+        code = pack((1, *g.weights[v]), radix)
+        codes = [code * step for step in steps]
+        placed: dict[tuple[tuple[int, ...], int], int] = {}
+        for (held, exps), count in states.items():
+            used = {held[i] for i in touching}
+            for c in range(colors):
+                if c not in used:
+                    held_c = (*held, c)
+                    key = (tuple([held_c[i] for i in staying]), exps + codes[c])
+                    placed[key] = placed.get(key, 0) + count
+            if len(placed) > budget:
+                raise exceeded
+        states = placed
+    return LaurentPolynomial(names, {unpack(exps, radix, len(names)): count
+                                     for (_, exps), count in states.items()})

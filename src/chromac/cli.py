@@ -39,7 +39,7 @@ def _load_graph(path: str) -> WeightedGraph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}")
     return parse_graph(text)
 

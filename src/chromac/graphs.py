@@ -164,6 +164,8 @@ def tree_from_pruefer(seq: Iterable[int], n: int) -> tuple[Edge, ...]:
         raise ValueError("need n >= 1")
     if len(seq) != max(n - 2, 0):
         raise ValueError(f"sequence length must be {max(n - 2, 0)} for n={n}")
+    if any(not 0 <= x < n for x in seq):
+        raise ValueError(f"sequence entries must lie in 0..{n - 1}")
     if n == 1:
         return ()
     degree = [1] * n

@@ -68,4 +68,7 @@ def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
     if total != 2 ** n:
         raise ValueError(f"reconstructed coefficients sum to {total}, expected 2^{n}; "
                          "the table is not a forest subset-type table for these parameters")
+    if sum(table.values()) != 2 ** e:  # one count per edge subset
+        raise ValueError(f"type counts sum to {sum(table.values())}, expected 2^{e}; "
+                         "the table is not a forest subset-type table for these parameters")
     return LaurentPolynomial(egdp_variables(1), terms)

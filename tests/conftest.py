@@ -6,7 +6,7 @@ statistics: the component type of an edge subset, the induced subgraph
 and the external and internal edge counts of a vertex subset), Hopf-axiom
 checkers used by both the unit and acceptance suites, and definitional
 oracles for the CMF and EGDP dynamic programs, the packed truncation,
-the backtracking coloring enumeration, the one-pass specialisations, the
+the coloring enumeration, the one-pass specialisations, the
 grouped coproduct, the trie-kernel Hopf evaluations, the bucketed (1 - u)
 expansion, the explicit recovery route and the product transition
 matrices (the family graph of a partition, the disjoint union of its
@@ -626,6 +626,9 @@ def recover_egdp_explicit_per_type(table: dict[VectorPartition, int], n: int,
             total += value
     if total != 2 ** n:
         raise ValueError(f"reconstructed coefficients sum to {total}, expected 2^{n}; "
+                         "the table is not a forest subset-type table for these parameters")
+    if sum(table.values()) != 2 ** e:  # one count per edge subset
+        raise ValueError(f"type counts sum to {sum(table.values())}, expected 2^{e}; "
                          "the table is not a forest subset-type table for these parameters")
     return LaurentPolynomial(("w", "x", "y", "z"), terms)
 

@@ -663,6 +663,12 @@ def test_enumeration_colors_a_long_edgeless_graph_without_recursion():
     poly = cmf_by_enumeration(g, 1)
     assert time.perf_counter() - start < 1
     assert poly.terms == {(3000, 6000): 1}
+    # 2^23 colorings, inside the cap, but only 24 distinct exponent vectors
+    g = WeightedGraph(23, ((1,),) * 23, (), 1)
+    start = time.perf_counter()
+    poly = cmf_by_enumeration(g, 2)
+    assert time.perf_counter() - start < 1
+    assert poly.terms == {(j, j, 23 - j, 23 - j): math.comb(23, j) for j in range(24)}
 
 
 def test_enumeration_refuses_colors_past_the_exponent_budget():

@@ -263,10 +263,13 @@ def test_missing_file_is_a_parse_error(capsys):
 
 def test_malformed_file_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "bad.graph"
-    path.write_text("banana 3\n")
-    code, _, err = run(capsys, "compute", str(path), "--invariant", "cmf")
-    assert code == 2
-    assert "error:" in err
+    for content in (b"banana 3\n", b"n 1\nweight 0 \xff\n"):  # a bad line, then not UTF-8
+        path.write_bytes(content)
+        for argv in (("compute", str(path), "--invariant", "cmf"),
+                     ("hopf", str(path), "--op", "coproduct")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (content, argv)
+            assert "error:" in err, (content, argv)
 
 
 def test_edge_cap_exit_code(capsys):

@@ -169,8 +169,9 @@ def test_pruefer_small_cases():
     assert tree_from_pruefer((), 1) == ()
     assert tree_from_pruefer((), 2) == ((0, 1),)
     assert tree_from_pruefer((0, 0), 4) == ((0, 1), (0, 2), (0, 3))
-    with pytest.raises(ValueError):
-        tree_from_pruefer((1,), 2)
+    for seq, n in (((1,), 2), ((-1,), 3), ((5,), 3), ((0, 4), 4)):  # a length, then entries
+        with pytest.raises(ValueError):
+            tree_from_pruefer(seq, n)
 
 
 def test_all_labeled_trees_counts():

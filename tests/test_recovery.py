@@ -205,6 +205,10 @@ def test_explicit_route_flags_corrupted_tables():
     # undercounting edges starves the grid and breaks the subset count
     with pytest.raises(ValueError, match="sum to"):
         recover_egdp_explicit(table, 2, 3, 0)
+    # overcounting them scales the EGDP by a power of w, which only the
+    # type counts' sum catches
+    with pytest.raises(ValueError, match="^type counts sum to 2, expected 2\\^2;"):
+        recover_egdp_explicit(table, 2, 3, 2)
     inflated = dict(table)
     inflated[vp((1, 1), (1, 2))] = 2
     with pytest.raises(ValueError, match="sum to"):
