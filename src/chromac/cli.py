@@ -11,7 +11,7 @@ import argparse
 import itertools
 import random
 import sys
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from .algebra import MacMahonElement
 from .bases import is_triangular_with_unit_diagonal, matrix_to_text, star_family, transition_matrix
@@ -22,6 +22,8 @@ from .graphs import (GraphFormatError, WeightedGraph, all_labeled_trees,
                      counterexample_pair, parse_graph, random_forest, serialize_graph)
 from .hopf import (antipode, coproduct, egdp_convolution, recover_egdp_hopf,
                    recover_stats, symbolic_counting_image)
+
+_EXIT_CODES = {GraphFormatError: 2, CapExceededError: 3, NotApplicableError: 4}
 
 
 def _int_at_least(least: int) -> Callable[[str], int]:
@@ -44,57 +46,35 @@ def _load_graph(path: str) -> WeightedGraph:
     return parse_graph(text)
 
 
+# --invariant, in --help order: a base invariant (cmf, beta_table or egdp) and its projection
+_INVARIANTS: dict[str, Callable[[WeightedGraph, argparse.Namespace], Any]] = {
+    "cmf": lambda g, args: cmf(g, max_edges=args.max_edges),
+    "wcsf": lambda g, args: specialize_csf(cmf(g, max_edges=args.max_edges), "weight"),
+    "csf": lambda g, args: specialize_csf(cmf(g, max_edges=args.max_edges), "cardinality"),
+    "beta": lambda g, args: MacMahonElement(g.r + 1, beta_table(g, max_edges=args.max_edges)),
+    "egdp": lambda g, args: egdp(g, max_vertices=args.max_vertices),
+    "wgdp": lambda g, args: specialize_egdp(egdp(g, max_vertices=args.max_vertices), "wgdp"),
+    "gdp": lambda g, args: specialize_egdp(egdp(g, max_vertices=args.max_vertices), "gdp"),
+}
+
+_HOPF_OPS: dict[str, Callable[[MacMahonElement], Any]] = {  # --op, applied to the cmf
+    "coproduct": coproduct, "antipode": antipode, "phi": symbolic_counting_image,
+    "gamma": egdp_convolution, "stats": recover_stats,
+}
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     g = _load_graph(args.path)
     if args.truncate is not None and args.invariant != "cmf":
         raise NotApplicableError("--truncate applies only to the cmf invariant")
-    if args.invariant == "cmf":
-        element = cmf(g, max_edges=args.max_edges)
-        if args.truncate is not None:
-            print(element.truncate(args.truncate).to_text())
-        else:
-            print(element.to_text())
-    elif args.invariant == "wcsf":
-        print(specialize_csf(cmf(g, max_edges=args.max_edges), "weight").to_text())
-    elif args.invariant == "csf":
-        print(specialize_csf(cmf(g, max_edges=args.max_edges), "cardinality").to_text())
-    elif args.invariant == "beta":
-        table = beta_table(g, max_edges=args.max_edges)
-        print(MacMahonElement(g.r + 1, table).to_text())
-    elif args.invariant == "egdp":
-        print(egdp(g, max_vertices=args.max_vertices).to_text())
-    elif args.invariant in ("wgdp", "gdp"):
-        print(specialize_egdp(egdp(g, max_vertices=args.max_vertices), args.invariant).to_text())
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.invariant)
+    value = _INVARIANTS[args.invariant](g, args)
+    print((value if args.truncate is None else value.truncate(args.truncate)).to_text())
     return 0
 
 
 def cmd_hopf(args: argparse.Namespace) -> int:
-    element = cmf(_load_graph(args.path), max_edges=args.max_edges)
-    if args.op == "coproduct":
-        print(coproduct(element).to_text())
-    elif args.op == "antipode":
-        print(antipode(element).to_text())
-    elif args.op == "phi":
-        print(symbolic_counting_image(element).to_text())
-    elif args.op == "gamma":
-        print(egdp_convolution(element).to_text())
-    elif args.op == "stats":
-        try:
-            stats = recover_stats(element)
-        except ValueError as exc:
-            raise NotApplicableError(str(exc))
-        w = ",".join(str(c) for c in stats.weight)
-        print(f"n={stats.n} e={stats.e} w={w} c={stats.c}")
-    else:  # pragma: no cover
-        raise ValueError(args.op)
+    print(_HOPF_OPS[args.op](cmf(_load_graph(args.path), max_edges=args.max_edges)).to_text())
     return 0
-
-
-def _weight_assignments(n: int, weight_max: int, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    single = list(itertools.product(range(1, weight_max + 1), repeat=r))
-    yield from itertools.product(single, repeat=n)
 
 
 def _check_forest(g: WeightedGraph) -> str | None:
@@ -113,9 +93,10 @@ def _verify_forests(args: argparse.Namespace) -> Iterator[WeightedGraph]:
     """The forests `verify` checks: every labeled tree with every weight
     assignment up to n_max vertices, or random forests."""
     if args.mode == "exhaustive":
+        single = list(itertools.product(range(1, args.weight_max + 1), repeat=args.r))
         for n in range(1, args.n_max + 1):
             for edges in all_labeled_trees(n):
-                for weights in _weight_assignments(n, args.weight_max, args.r):
+                for weights in itertools.product(single, repeat=n):
                     yield WeightedGraph(n, weights, edges, args.r)
     else:
         rng = random.Random(args.seed)
@@ -187,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compute = sub.add_parser("compute", help="invariants of a graph file")
     compute.add_argument("path")
-    compute.add_argument("--invariant", required=True,
-                         choices=["cmf", "wcsf", "csf", "beta", "egdp", "wgdp", "gdp"])
+    compute.add_argument("--invariant", required=True, choices=list(_INVARIANTS))
     compute.add_argument("--truncate", type=_int_at_least(0), default=None, metavar="K",
                          help="expand the cmf in K colors")
     compute.add_argument("--max-edges", type=_int_at_least(0), default=DEFAULT_MAX_EDGES)
@@ -197,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hopf = sub.add_parser("hopf", help="Hopf-structure computations on the cmf")
     hopf.add_argument("path")
-    hopf.add_argument("--op", required=True,
-                      choices=["coproduct", "antipode", "phi", "gamma", "stats"])
+    hopf.add_argument("--op", required=True, choices=list(_HOPF_OPS))
     hopf.add_argument("--max-edges", type=_int_at_least(0), default=DEFAULT_MAX_EDGES)
     hopf.set_defaults(func=cmd_hopf)
 
@@ -237,15 +216,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotApplicableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .algebra import (LaurentPolynomial, MacMahonElement, TensorElement, Vector,
                       VectorPartition, _expand_one_minus_u, _one_minus_u_power,
                       character_sum, pack, unpack)
 from .chromatic import egdp_variables
-from .errors import CapExceededError
+from .errors import CapExceededError, NotApplicableError
 
 COPRODUCT_SPLITS = 1 << 20  # multiplicity splits, so tensor terms, of one coproduct
 
@@ -118,8 +118,8 @@ def convolve(f: LinearFunctional, g: LinearFunctional,
 
 def counting_variables(width: int) -> tuple[str, ...]:
     r = width - 1
-    if r < 1:
-        raise ValueError("counting map needs width >= 2")
+    if r < 0:
+        raise ValueError("counting map needs width >= 1")
     if r == 1:
         return ("t", "u", "v")
     return ("t", "u", *(f"v{i}" for i in range(1, r + 1)))
@@ -153,17 +153,20 @@ class ForestStats:
     weight: tuple[int, ...]
     c: int
 
+    def to_text(self) -> str:
+        return f"n={self.n} e={self.e} w={','.join(map(str, self.weight))} c={self.c}"
+
 
 def recover_stats(element: MacMahonElement) -> ForestStats:
     """Read (n, e, w, c) off the counting-map image of a forest CMF."""
     image = symbolic_counting_image(element)
     if len(image.terms) != 1:
-        raise ValueError("counting-map image is not a single monomial; "
-                         "the element is not the CMF of a forest")
+        raise NotApplicableError("counting-map image is not a single monomial; "
+                                 "the element is not the CMF of a forest")
     (exps, coeff), = image.terms.items()
     if coeff != 1:
-        raise ValueError(f"counting-map image has coefficient {coeff}, not 1; "
-                         "the element is not the CMF of a forest")
+        raise NotApplicableError(f"counting-map image has coefficient {coeff}, not 1; "
+                                 "the element is not the CMF of a forest")
     n, e = exps[0], exps[1]
     return ForestStats(n, e, tuple(exps[2:]), n - e)
 

@@ -1,19 +1,21 @@
-"""The benchmark's tracer finds every library name it looks up.
+"""The benchmark finds every library name it looks up.
 
 `bench/tracer.py` wraps library functions and methods by name, and
-`bench/items.py` clears the partition cache; a traced run fails when one
-of them is gone.  The benchmark's own tests are not part of this suite,
-so these checks keep a prune of the library from breaking
-`bench/run.py --trace 1` unnoticed."""
+`bench/items.py` calls the public API, truncates CMFs and clears the
+partition cache; a run fails when one of them is gone.  The benchmark's
+own tests are not part of this suite, so these checks keep a prune of
+the library from breaking `bench/run.py` unnoticed."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import chromac
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -41,3 +43,16 @@ def test_every_traced_method_is_defined_on_its_class():
 
 def test_the_partition_cache_the_items_clear_exists():
     assert isinstance(chromac.algebra._partition_cache, dict)
+
+
+def test_every_api_name_the_items_call_resolves():
+    """`bench/items.py` reaches the library as `api.<name>`, and
+    truncates a CMF by its method; it is read as text, not imported."""
+    tree = ast.parse((BENCH / "items.py").read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "api"}
+    assert names
+    for name in sorted(names):
+        assert callable(getattr(chromac, name, None)), name
+    assert callable(vars(chromac.MacMahonElement).get("truncate")), "MacMahonElement.truncate"

@@ -235,6 +235,148 @@ def test_bases_check_golden(capsys, show, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+GOLDEN_GRAPHS = {
+    "forest-r2": WeightedGraph(5, ((1, 2), (2, 1), (1, 1), (2, 2), (3, 1)),
+                               ((0, 1), (1, 2), (3, 4)), r=2),
+    "cycle": cycle_graph([1, 2, 3, 1]),
+}
+
+GOLDEN_ERRORS = {
+    ("forest-r2", "compute --invariant wgdp"):
+        "error: weighted degree polynomial requires scalar weights (r=1)\n",
+    ("cycle", "compute --invariant beta"):
+        "error: input graph contains a cycle; the table is only defined for forests\n",
+    ("cycle", "hopf --op stats"):
+        "error: counting-map image is not a single monomial; "
+        "the element is not the CMF of a forest\n",
+}
+
+GOLDEN_CASES = [  # (graph, command, exit code, SHA-256 of stdout)
+    ("t1", "compute --invariant cmf", 0,
+     "bbc705e4a83ba6df9ef2aa11664601b683dcbda63701b68bbdd7e18ed6dab7cd"),
+    ("t1", "compute --invariant wcsf", 0,
+     "9a51846ee037fecb57877034c63ca380c8f9c8cb121f7f5f56c090e2f1155ddf"),
+    ("t1", "compute --invariant csf", 0,
+     "2e118d0f857c96c0c0c3516f0a0867c6ee8bd333685f20402290320f4f19318b"),
+    ("t1", "compute --invariant beta", 0,
+     "3192debaee081f0a6635cfc577c5bd1f0119a7d472e5eb8853edbd57a4e8935c"),
+    ("t1", "compute --invariant egdp", 0,
+     "d233aaa9dd0055c6c13dbb471f2aa144a818758f01400f59ed5002c07b107caf"),
+    ("t1", "compute --invariant wgdp", 0,
+     "789e12f41054633e0222891b3b0b5d0e18ce0ca0947674bb8fa46d36416d7848"),
+    ("t1", "compute --invariant gdp", 0,
+     "94920f0a751fa79b86dc645c00013e0f7b6054da804d5acebdc11296434a4baf"),
+    ("t1", "compute --invariant cmf --truncate 2", 0,
+     "4d04baa24da036e9ee768a42dcf7ff77e34e4b617e3d0959b4e45c9cbb70df28"),
+    ("t1", "hopf --op coproduct", 0,
+     "01cbc4ff647deba5481b084034a6efa6ff75f855e2ec37eb946e8a29bca20343"),
+    ("t1", "hopf --op antipode", 0,
+     "872e5d1cae11168b9e00d229ddc70c9c921b63f85fae347e74371a8816312913"),
+    ("t1", "hopf --op phi", 0,
+     "e3e57419ab331505f8c28afacbd4058016970dee66533581d2e8f40a283d0f61"),
+    ("t1", "hopf --op gamma", 0,
+     "647c2b656cc9504d69a9b7cf47fcf662a4282c71cc727d19292798d38bc2cae3"),
+    ("t1", "hopf --op stats", 0,
+     "d4201a9e31cc20fdc09badeea0ae0f7de38d7fdac99e46fd85b043a6d8213a9e"),
+    ("t2", "compute --invariant cmf", 0,
+     "a0117fa332bf1040ab0f38e8181d4f2626c4ea57ad2534b67af307418324be5b"),
+    ("t2", "compute --invariant wcsf", 0,
+     "9a51846ee037fecb57877034c63ca380c8f9c8cb121f7f5f56c090e2f1155ddf"),
+    ("t2", "compute --invariant csf", 0,
+     "2e118d0f857c96c0c0c3516f0a0867c6ee8bd333685f20402290320f4f19318b"),
+    ("t2", "compute --invariant beta", 0,
+     "c4f53bdd0152f3d8d7b6b6984ca43f6cbfb27f4d5ed4ac005ffbd883814a7502"),
+    ("t2", "compute --invariant egdp", 0,
+     "2fb9e89fbfcdc3d6923fbff42e004d533464a0679f35748fe58aa4e58a3e3352"),
+    ("t2", "compute --invariant wgdp", 0,
+     "c0ccffba0b33bdbcd2a1394c8115872aa22095f4d7b2ca7086f0104fc2cf15da"),
+    ("t2", "compute --invariant gdp", 0,
+     "94920f0a751fa79b86dc645c00013e0f7b6054da804d5acebdc11296434a4baf"),
+    ("t2", "compute --invariant cmf --truncate 2", 0,
+     "66d49e273b40193479f7c2323b2a6573c6340fa537735a0afe10abd552afbbcd"),
+    ("t2", "hopf --op coproduct", 0,
+     "bb402b27ec614e30d837792c2e612b0a1e27cbebe90b1c751e04f636737954e2"),
+    ("t2", "hopf --op antipode", 0,
+     "891a88ca648b35e360ad83fae8f73ff1b49c10778afdbd525af8f2c922fe4656"),
+    ("t2", "hopf --op phi", 0,
+     "e3e57419ab331505f8c28afacbd4058016970dee66533581d2e8f40a283d0f61"),
+    ("t2", "hopf --op gamma", 0,
+     "695b6fd54d036ed07d6606cb3d0fbaac731463b47a768cf66eebc605accb03d3"),
+    ("t2", "hopf --op stats", 0,
+     "d4201a9e31cc20fdc09badeea0ae0f7de38d7fdac99e46fd85b043a6d8213a9e"),
+    ("forest-r2", "compute --invariant cmf", 0,
+     "873e5633f88b153ec89a74cb2ffdd7b75548eac27fa65cc18b5b6212f8f00ac6"),
+    ("forest-r2", "compute --invariant wcsf", 0,
+     "12f57fca949350d1c4ca53633047e175bd7737b10018739604509358c6623949"),
+    ("forest-r2", "compute --invariant csf", 0,
+     "aa5825a2c9521164639196326b597a58106e2196c429f5908d89eabd74cf37c1"),
+    ("forest-r2", "compute --invariant beta", 0,
+     "ff1acca63081bf677d1aa816ddc4b93c0ef90e1a3faef98fc1f27f3f7f437548"),
+    ("forest-r2", "compute --invariant egdp", 0,
+     "947b370b487e80921f080a9a2eb73b6e3ac6e9864c6a929479179b4369d4c2c2"),
+    ("forest-r2", "compute --invariant wgdp", 4,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("forest-r2", "compute --invariant gdp", 0,
+     "0f57dab1602b7da00383ba7acbaa92f54ca91a8cac98d92938cf220e3166e589"),
+    ("forest-r2", "compute --invariant cmf --truncate 2", 0,
+     "9947e7a4466356955c8125fe01d707b47bf2e6a16fd13a22fd04b9ded58ac4e3"),
+    ("forest-r2", "hopf --op coproduct", 0,
+     "5c10b97a708c359717947c37da530d4871867b9c8f4286452a3c31e630255861"),
+    ("forest-r2", "hopf --op antipode", 0,
+     "27a7d45aa3b2ebef51266646d6b93f1e91ccd185444af25316f77eb958e03076"),
+    ("forest-r2", "hopf --op phi", 0,
+     "0631ee03717b9229c3ad3cb5a60abfb20897577b37085e2782628b144e171f46"),
+    ("forest-r2", "hopf --op gamma", 0,
+     "2ceae479585cd3795fd80cbab93d5921c5de4f7f9056da293eaea29580c37ecb"),
+    ("forest-r2", "hopf --op stats", 0,
+     "e3edbfaec24b075e5d47b6703ff306b17dd4646ccf2f39264016c783289b1aab"),
+    ("cycle", "compute --invariant cmf", 0,
+     "d6f0f551372f1d0d16a786cce9812efb9164ee5b1998e281fc54d4ca43f16879"),
+    ("cycle", "compute --invariant wcsf", 0,
+     "c027ce87b0b708b683f8c77d9c1f144752137d43f34e5766d0c5cbc3c0f110c0"),
+    ("cycle", "compute --invariant csf", 0,
+     "3b5d4881142799c5bd3cde667b344244c01d41c8fcad5164cab736918469634b"),
+    ("cycle", "compute --invariant beta", 4,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cycle", "compute --invariant egdp", 0,
+     "44094832106ae9258a9dc0cc96a0a7ba7f8222a8013ac557a7975430bcaafb3f"),
+    ("cycle", "compute --invariant wgdp", 0,
+     "f0bb89fd194cc7c99f51a2ad4176f56789ee43e79ba823926b0b0e2c3c113f4a"),
+    ("cycle", "compute --invariant gdp", 0,
+     "26c4703633dfd9294a0d8845f458f142c25638a795a64335e1c84596c658c1db"),
+    ("cycle", "compute --invariant cmf --truncate 2", 0,
+     "5588ddaf8bc54c684bcc042791c1fdd20d35dc3b138a0f74a220c103d5a56083"),
+    ("cycle", "hopf --op coproduct", 0,
+     "44b6f7061d1c9332d07dc2b929ec0462d9c62fa758b453419d1f853fe2b8d666"),
+    ("cycle", "hopf --op antipode", 0,
+     "aca53a3032996471d0dfa15ee63eb75d881954cfa7ea77efce07dd0ce1c26fa0"),
+    ("cycle", "hopf --op phi", 0,
+     "cbd134b31c325c4ccb50b9221b130ed02dbb0d524d5e1241a66f43fe60785e02"),
+    ("cycle", "hopf --op gamma", 0,
+     "103369042ecc8d2bde6f201de2635e2d064a3fdb72a91c2fbdde554047df21c9"),
+    ("cycle", "hopf --op stats", 4,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("graph, command, exit_code, digest", GOLDEN_CASES, ids=[
+    f"{graph}-{command.replace(' --', ' ').replace(' ', '-')}" for graph, command, *_ in GOLDEN_CASES])
+def test_compute_and_hopf_golden(capsys, tmp_path, graph, command, exit_code, digest):
+    """Every --invariant, a truncation and every --op on the two shipped
+    trees, a forest with weight pairs and a graph with a cycle: the exit
+    code, a SHA-256 digest of stdout and the exact stderr."""
+    if graph in GOLDEN_GRAPHS:
+        path = tmp_path / f"{graph}.graph"
+        path.write_text(serialize_graph(GOLDEN_GRAPHS[graph]))
+    else:
+        path = DATA / f"{graph}.graph"
+    subcommand, *options = command.split()
+    code, out, err = run(capsys, subcommand, str(path), *options)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == GOLDEN_ERRORS.get((graph, command), "")
+
+
 def test_random_forest_deterministic(capsys):
     code1, out1, _ = run(capsys, "random-forest", "--n", "4", "--seed", "5")
     code2, out2, _ = run(capsys, "random-forest", "--n", "4", "--seed", "5")

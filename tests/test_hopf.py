@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromac import (CapExceededError, LaurentPolynomial, LinearFunctional,
-                     MacMahonElement, VectorPartition, WeightedGraph, antipode,
-                     beta_table, cmf, convolve, coproduct, cycle_graph, egdp,
+                     MacMahonElement, VectorPartition, WeightedGraph, all_labeled_trees,
+                     antipode, beta_table, cmf, convolve, coproduct, cycle_graph, egdp,
                      egdp_convolution, hopf, partitions_of, path_graph,
                      random_forest, recover_egdp_explicit, recover_egdp_hopf,
-                     recover_stats, single_vertex, symbolic_counting_image)
+                     recover_stats, single_vertex, specialize_csf,
+                     symbolic_counting_image)
 
 from conftest import (antipode_convolution, cmf_by_edge_subsets, coproduct_by_positions,
                       coproduct_respects_product, counit, counting_functional,
@@ -450,6 +451,33 @@ def test_hopf_recovery_of_random_forests(n, max_weight, r, seed):
     assert recover_egdp_hopf(cmf(g)) == egdp(g)
 
 
+def _sum_out_y(poly: LaurentPolynomial) -> LaurentPolynomial:
+    acc: dict[tuple[int, ...], int] = {}
+    for (w, x, _, z), c in poly.terms.items():
+        acc[(w, x, z)] = acc.get((w, x, z), 0) + c
+    return LaurentPolynomial(("w", "x", "z"), acc)
+
+
+def test_unweighted_recovery_from_the_csf():
+    """At width 1 the same route reads a forest's statistics and its
+    degree polynomial, the EGDP with y summed out, off its chromatic
+    symmetric function: the unweighted theorem that the weighted one
+    generalises (Crew's conjecture, proved by Aliste-Prieto, Martin,
+    Wagner and Zamora and by Liu and Tang).  Every labeled tree with
+    n <= 6, then random weighted forests, whose weights the CSF drops."""
+    rng = random.Random(18)
+    forests = [WeightedGraph(n, ((1,),) * n, edges)
+               for n in range(1, 7) for edges in all_labeled_trees(n)]
+    forests += [random_forest(rng.randint(0, 12), 3, seed=rng.randrange(2 ** 32))
+                for _ in range(100)]
+    for g in forests:
+        csf = specialize_csf(cmf(g), "cardinality")
+        stats = recover_stats(csf)
+        assert (stats.n, stats.e, stats.weight, stats.c) == \
+            (g.n, g.edge_count, (), g.n - g.edge_count), g
+        assert recover_egdp_hopf(csf) == _sum_out_y(egdp(g)), g
+
+
 def test_negative_powers_raise_as_on_the_coproduct_route():
     lone = p_((0, 1))
     for fn in (egdp_convolution, symbolic_counting_image, recover_egdp_hopf):
@@ -471,8 +499,11 @@ def test_negative_powers_raise_as_on_the_coproduct_route():
         egdp_convolution(p_((2, 2), (2, 0), (0, 1)) - p_((2, 1), (2, 1), (0, 1)))
     with pytest.raises(ValueError, match="negative powers"):
         symbolic_counting_image(p_((0, 1), (0, 3)) - p_((0, 2), (0, 2)))
-    with pytest.raises(ValueError, match="width >= 2"):
-        symbolic_counting_image(MacMahonElement.power_sum(VectorPartition.of([(1,)])))
+    # Width 1, the CSF: p_(1) has n = l = 1 and goes to t alone.
+    assert symbolic_counting_image(MacMahonElement.power_sum(VectorPartition.of([(1,)]))) == \
+        LaurentPolynomial(("t", "u"), {(1, 0): 1})
+    with pytest.raises(ValueError, match="width >= 1"):
+        hopf.counting_variables(0)
 
 
 # ---------------------------------------------------------------------------
