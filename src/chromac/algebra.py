@@ -13,7 +13,9 @@ convolution of two counting functionals and the explicit recovery
 formula) is evaluated by one kernel, `character_sum`, on polynomials
 whose exponent vectors are packed into integers, and both recovery
 routes multiply the kernel's sums by their powers of (1 - u) with
-`_expand_one_minus_u`, one product per power rather than per sum.
+`_expand_one_minus_u`, one product per power rather than per sum.  The
+kernel closes each trie node in one loop, and `_unpacker` decodes the
+packed codes of one call, each distinct half of a code once.
 """
 
 from __future__ import annotations
@@ -62,12 +64,16 @@ class VectorPartition:
             object.__setattr__(self, "parts", ordered)
 
     @classmethod
-    def from_canonical(cls, width: int, parts: tuple[Vector, ...]) -> VectorPartition:
+    def from_canonical(cls, width: int, parts: tuple[Vector, ...],
+                       grade: Vector | None = None) -> VectorPartition:
         """Trusted constructor for parts already valid and in descending
-        order; skips the checks, for callers that build many partitions."""
+        order; skips the checks, for callers that build many partitions,
+        and takes the grade from a caller that knows it."""
         partition = object.__new__(cls)
         object.__setattr__(partition, "width", width)
         object.__setattr__(partition, "parts", parts)
+        if grade is not None:
+            object.__setattr__(partition, "grade", grade)
         return partition
 
     @classmethod
@@ -92,6 +98,12 @@ class VectorPartition:
             for i, c in enumerate(part):
                 total[i] += c
         return tuple(total)
+
+    def __hash__(self) -> int:  # computed once: partitions key many dicts
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = hash((self.width, self.parts))
+        return value
 
     def multiplicities(self) -> dict[Vector, int]:
         counts: dict[Vector, int] = {}
@@ -173,6 +185,27 @@ def unpack(code: int, radix: int, width: int) -> Vector:
     return tuple(reversed(digits))
 
 
+def _unpacker(radix: int, width: int) -> Callable[[int], Vector]:
+    """unpack(code, radix, width) for the many codes of one call: each
+    distinct high half and low half of a code is unpacked once."""
+    low_width = width // 2
+    span = radix ** low_width
+    highs: dict[int, Vector] = {}
+    lows: dict[int, Vector] = {}
+
+    def decode(code: int) -> Vector:
+        high, low = divmod(code, span)
+        head = highs.get(high)
+        if head is None:
+            head = highs[high] = unpack(high, radix, width - low_width)
+        tail = lows.get(low)
+        if tail is None:
+            tail = lows[low] = unpack(low, radix, low_width)
+        return head + tail
+
+    return decode
+
+
 def add_product(total: dict[int, int], a: dict[int, int], b: dict[int, int],
                 budget: int | None = None) -> dict[int, int]:
     """Add the product of two polynomials on packed exponent codes into
@@ -207,15 +240,16 @@ def _expand_one_minus_u(buckets: dict[int, dict[int, dict[int, int]]],
     buckets[p][q], on packed codes whose last digit is the power of z and
     where w_unit is the code of w.  (1 - 1/w)^q multiplies each q bucket
     once and (1 - z/w)^p the sum over the q buckets of each p once, so each
-    power is expanded once per bucket, whatever its number of codes.  Every
-    p and q key is expanded, even over an empty bucket, so a negative one
-    raises."""
+    power is expanded once per bucket, whatever its number of codes, and
+    built once per call.  Every p and q key is expanded, even over an
+    empty bucket, so a negative one raises."""
+    q_powers = {q: {-j * w_unit: c for j, c in enumerate(_one_minus_u_power(q))}
+                for q in {q for by_q in buckets.values() for q in by_q}}
     total: dict[int, int] = {}
     for p, by_q in buckets.items():
         inner: dict[int, int] = {}
         for q, codes in by_q.items():
-            add_product(inner, codes,
-                        {-j * w_unit: c for j, c in enumerate(_one_minus_u_power(q))})
+            add_product(inner, codes, q_powers[q])
         add_product(total, inner,
                     {i * (1 - w_unit): c for i, c in enumerate(_one_minus_u_power(p))})
     return total
@@ -232,11 +266,12 @@ def character_sum(terms: dict[VectorPartition, int],
     trie is evaluated bottom up with a stack: a node holds the sum, over
     the symbols below it, of their coefficient times the product of the
     images of their later parts, and closing a node adds that sum times
-    the image of its own part into its parent.  Each distinct part's
-    image is computed once.  Like add_product, the result keeps every
-    code that some symbol reaches, even where the coefficients cancel, and
-    a budget bounds the terms of every node's sum as add_product's bounds
-    its total."""
+    each term of the image of its own part into its parent, in one loop.
+    Each distinct part's image is computed once.  Like add_product, the
+    result keeps every code that some symbol reaches, even where the
+    coefficients cancel.  A budget bounds the terms of every node's sum:
+    it is checked after each image term, so a close raises exactly when
+    it leaves its parent with more terms than the budget."""
     images: dict[Vector, dict[int, int]] = {}
     path: list[Vector] = []
     sums: list[dict[int, int]] = [{}]  # sums[d]: the open node at depth d
@@ -247,7 +282,14 @@ def character_sum(terms: dict[VectorPartition, int],
         if values is None:
             values = images[part] = image(part)
         node = sums.pop()
-        add_product(sums[-1], node, values, budget)
+        parent = sums[-1]
+        get = parent.get
+        for code_v, count_v in values.items():
+            for code, count in node.items():
+                code += code_v
+                parent[code] = get(code, 0) + count * count_v
+            if budget is not None and len(parent) > budget:
+                raise CapExceededError(f"a product exceeds its budget of {budget} live terms")
 
     for parts, coeff in sorted((p.parts[::-1], c) for p, c in terms.items()):
         shared = 0

@@ -31,7 +31,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .algebra import (TRUNCATE_LIVE_EXPONENTS, LaurentPolynomial, MacMahonElement,
-                      VectorPartition, add_product, pack, truncation_variables, unpack)
+                      VectorPartition, _unpacker, add_product, pack, truncation_variables, unpack)
 from .errors import CapExceededError, NotApplicableError
 from .graphs import WeightedGraph
 
@@ -123,7 +123,7 @@ def _forest_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
         except CapExceededError:
             raise exceeded from None
         child.clear()
-    return _closed_types(states[g.n], shifts, low, digit, radix, width, g.n)
+    return _closed_types(states[g.n], shifts, low, digit, radix, (g.n, *g.total_weight))
 
 
 def _frontier_steps(g: WeightedGraph) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
@@ -191,7 +191,6 @@ def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
     by more than the moves of one state.
     """
     radix = max(g.n, *g.total_weight) + 1
-    width = g.r + 1
     digit = g.n.bit_length()
     shifts: dict[int, int] = {}  # code of a closed component -> shift of its digit
     states: dict[tuple, int] = {(0, (), ()): 1}  # (closed, labels, codes) -> count
@@ -222,7 +221,7 @@ def _frontier_type_counts(g: WeightedGraph) -> dict[VectorPartition, int]:
                 placed[key] = placed.get(key, 0) + count
         states = placed
     return _closed_types({closed: count for (closed, _, _), count in states.items()},
-                         shifts, 0, digit, radix, width, g.n)
+                         shifts, 0, digit, radix, (g.n, *g.total_weight))
 
 
 # (labels joined to the new vertex, old label of each new label, new
@@ -254,11 +253,13 @@ def _frontier_moves(labels: tuple[int, ...], touching: list[int],
 
 
 def _closed_types(states: dict[int, int], shifts: dict[int, int], low: int, digit: int,
-                  radix: int, width: int, n: int) -> dict[VectorPartition, int]:
+                  radix: int, grade: tuple[int, ...]) -> dict[VectorPartition, int]:
     """Component types with their counts, each signed (-1)^(n - length) as
     in the CMF, from states whose closed components are one multiplicity
     digit per distinct component code, at the shifts given, above `low`
-    bits that are zero."""
+    bits that are zero.  Every type partitions the whole graph, so each
+    gets the graph's grade (n, total weight...) as it is built."""
+    n, width = grade[0], len(grade)
     part_at = {shift: unpack(code, radix, width) for code, shift in shifts.items()}
     mask = (1 << digit) - 1
     counts = {}
@@ -270,7 +271,7 @@ def _closed_types(states: dict[int, int], shifts: dict[int, int], low: int, digi
             parts += [part_at[shift]] * times
             state -= times << shift
         parts.sort(reverse=True)
-        counts[VectorPartition.from_canonical(width, tuple(parts))] = (
+        counts[VectorPartition.from_canonical(width, tuple(parts), grade)] = (
             -count if (n - len(parts)) & 1 else count)
     return counts
 
@@ -339,7 +340,8 @@ def egdp(g: WeightedGraph, max_vertices: int = DEFAULT_MAX_VERTICES) -> LaurentP
             in_ = kept + code_in + inside * (1 - external)  # those edges internal instead
             placed[in_] = placed.get(in_, 0) + count
         terms = placed
-    return LaurentPolynomial(egdp_variables(g.r), {unpack(code, radix, slots): count
+    decode = _unpacker(radix, slots)
+    return LaurentPolynomial(egdp_variables(g.r), {decode(code): count
                                                    for code, count in terms.items()})
 
 

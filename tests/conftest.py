@@ -7,10 +7,10 @@ and the external and internal edge counts of a vertex subset), Hopf-axiom
 checkers used by both the unit and acceptance suites, and definitional
 oracles for the CMF and EGDP dynamic programs, the packed truncation,
 the coloring enumeration, the one-pass specialisations, the
-grouped coproduct, the trie-kernel Hopf evaluations, the bucketed (1 - u)
-expansion, the explicit recovery route and the product transition
-matrices (the family graph of a partition, the disjoint union of its
-checked members, row by row)."""
+grouped coproduct, the trie-kernel Hopf evaluations, the trie kernel's
+node-by-node products, the bucketed (1 - u) expansion, the explicit
+recovery route and the product transition matrices (the family graph of
+a partition, the disjoint union of its checked members, row by row)."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import pytest
 
@@ -651,6 +651,44 @@ def expand_one_minus_u_per_code(buckets: dict[int, dict[int, dict[int, int]]],
             for code, coeff in codes.items():
                 add_product(total, {code: coeff}, expansion)
     return total
+
+
+# ---------------------------------------------------------------------------
+# The trie kernel with one product call per node
+
+
+def character_sum_per_node(terms: dict[VectorPartition, int],
+                           image: Callable[[Vector], dict[int, int]],
+                           budget: int | None = None) -> dict[int, int]:
+    """character_sum closing each trie node with one add_product call: the
+    node's sum times its part's image is added into its parent, the
+    budget checked after each term of the smaller factor."""
+    images: dict[Vector, dict[int, int]] = {}
+    path: list[Vector] = []
+    sums: list[dict[int, int]] = [{}]
+
+    def close() -> None:
+        part = path.pop()
+        values = images.get(part)
+        if values is None:
+            values = images[part] = image(part)
+        node = sums.pop()
+        add_product(sums[-1], node, values, budget)
+
+    for parts, coeff in sorted((p.parts[::-1], c) for p, c in terms.items()):
+        shared = 0
+        limit = min(len(path), len(parts))
+        while shared < limit and path[shared] == parts[shared]:
+            shared += 1
+        for _ in range(len(path) - shared):
+            close()
+        for part in parts[shared:]:
+            path.append(part)
+            sums.append({})
+        sums[-1][0] = coeff
+    while path:
+        close()
+    return sums[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ from hypothesis import example, given, strategies as st
 
 from chromac import (CapExceededError, LaurentPolynomial, MacMahonElement, TensorElement,
                      VectorPartition, cmf, partitions_of, path_graph, truncation_variables)
-from chromac.algebra import (_expand_one_minus_u, _one_minus_u_power, add_product,
-                             character_sum, pack, unpack)
+from chromac.algebra import (_expand_one_minus_u, _one_minus_u_power, _unpacker,
+                             add_product, character_sum, pack, unpack)
 
-from conftest import (choose, expand_one_minus_u_per_code, partition_binomial,
-                      random_element, rename, substitute_one, swap, tensor_product,
-                      tensor_sum, truncate_by_products)
+from conftest import (character_sum_per_node, choose, expand_one_minus_u_per_code,
+                      partition_binomial, random_element, rename, substitute_one, swap,
+                      tensor_product, tensor_sum, truncate_by_products)
 
 
 def vp(*parts: tuple[int, ...]) -> VectorPartition:
@@ -375,6 +375,46 @@ def test_character_sum_keeps_canceled_codes():
     radix = 4
     result = character_sum(_canceling.terms, _kernel_image("monomial", radix))
     assert result == {pack((2, 2, 0), radix): 0}
+
+
+_leaves = MacMahonElement(2, {vp((1, 1)): 1, vp((2, 1)): -1, vp((1, 2)): 2})
+
+
+@example(_leaves, [1, -1], 1)  # a trie of leaves only: the first close raises
+@example(_leaves, [1, -1], 5)  # the third close raises
+@example(_leaves, [1, 1, 1], 3)  # passed after the first of three image terms of the second close
+@example(MacMahonElement.one(2) + MacMahonElement(2, {vp((1, 1), (1, 1)): 3}), [2, 1], 2)
+@example(_canceling, [1, 1], None)
+@given(kernel_elements(), st.lists(st.integers(-2, 2), min_size=1, max_size=4),
+       st.none() | st.integers(0, 30))
+def test_character_sum_matches_the_per_node_oracle(element, counts, budget):
+    """The same sums, or CapExceededError with the same message in the
+    same close.  Both kernels compute a part's image at its first close,
+    so equal image calls up to the error mean that the same closes ran;
+    on a trie of leaves with distinct parts every close makes one."""
+    def outcome(kernel):
+        calls: list[tuple[int, ...]] = []
+
+        def image(part):
+            calls.append(part)
+            return {pack((*part, j), 8): count for j, count in enumerate(counts)}
+
+        try:
+            return kernel(element.terms, image, budget), calls
+        except CapExceededError as exc:
+            return str(exc), calls
+
+    assert outcome(character_sum) == outcome(character_sum_per_node)
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_unpacker_matches_unpack(width):
+    rng = random.Random(width)
+    for radix in (2, 3, 10, 41):
+        top = radix ** width - 1
+        codes = [0, top, *(rng.randint(0, top) for _ in range(100)), 0, top]
+        decode = _unpacker(radix, width)
+        assert [decode(code) for code in codes] == [unpack(code, radix, width) for code in codes]
 
 
 def test_add_product_adds_into_total():

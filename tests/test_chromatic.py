@@ -72,6 +72,39 @@ def test_cmf_respects_edge_cap(t1):
         cmf(t1, max_edges=3)
 
 
+@st.composite
+def forests_and_cyclic_graphs(draw):
+    """A random forest with n <= 9, or a k-cycle (k >= 3) with any other
+    edges on n <= 7 vertices; r is 1 or 2."""
+    r = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        return random_forest(draw(st.integers(0, 9)), max_weight=3, r=r,
+                             seed=draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(3, 7))
+    k = draw(st.integers(3, n))
+    cycle = {(min(v, (v + 1) % k), max(v, (v + 1) % k)) for v in range(k)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in cycle]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = tuple(tuple(draw(st.integers(1, 3)) for _ in range(r)) for _ in range(n))
+    return WeightedGraph(n, weights, tuple(sorted(cycle | set(extra))), r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forests_and_cyclic_graphs())
+@example(WeightedGraph(0, (), (), 2))
+@example(cycle_graph([1, 2, 3]))
+def test_cmf_terms_carry_their_grade_and_hash(g):
+    """The dynamic programs hand every type the graph's grade as they build
+    it; it must be the sum of its parts, and a type must equal, and hash
+    like, the same partition built from its parts."""
+    width = g.r + 1
+    for partition in cmf(g).terms:
+        handed = vars(partition)["grade"]
+        assert handed == tuple(sum(part[i] for part in partition.parts) for i in range(width))
+        rebuilt = VectorPartition.of(partition.parts, width=width)
+        assert partition == rebuilt and hash(partition) == hash(rebuilt)
+
+
 # ---------------------------------------------------------------------------
 # Subset-type tables
 
