@@ -14,8 +14,8 @@ formula) is evaluated by one kernel, `character_sum`, on polynomials
 whose exponent vectors are packed into integers, and both recovery
 routes multiply the kernel's sums by their powers of (1 - u) with
 `_expand_one_minus_u`, one product per power rather than per sum.  The
-kernel closes each trie node in one loop, and `_unpacker` decodes the
-packed codes of one call, each distinct half of a code once.
+kernel closes each trie node in one loop, and `unpack` decodes every
+packed code.
 """
 
 from __future__ import annotations
@@ -182,28 +182,8 @@ def unpack(code: int, radix: int, width: int) -> Vector:
     for _ in range(width):
         code, digit = divmod(code, radix)
         digits.append(digit)
-    return tuple(reversed(digits))
-
-
-def _unpacker(radix: int, width: int) -> Callable[[int], Vector]:
-    """unpack(code, radix, width) for the many codes of one call: each
-    distinct high half and low half of a code is unpacked once."""
-    low_width = width // 2
-    span = radix ** low_width
-    highs: dict[int, Vector] = {}
-    lows: dict[int, Vector] = {}
-
-    def decode(code: int) -> Vector:
-        high, low = divmod(code, span)
-        head = highs.get(high)
-        if head is None:
-            head = highs[high] = unpack(high, radix, width - low_width)
-        tail = lows.get(low)
-        if tail is None:
-            tail = lows[low] = unpack(low, radix, low_width)
-        return head + tail
-
-    return decode
+    digits.reverse()
+    return tuple(digits)
 
 
 def add_product(total: dict[int, int], a: dict[int, int], b: dict[int, int],

@@ -31,7 +31,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .algebra import (TRUNCATE_LIVE_EXPONENTS, LaurentPolynomial, MacMahonElement,
-                      VectorPartition, _unpacker, add_product, pack, truncation_variables, unpack)
+                      VectorPartition, add_product, pack, truncation_variables, unpack)
 from .errors import CapExceededError, NotApplicableError
 from .graphs import WeightedGraph
 
@@ -340,8 +340,7 @@ def egdp(g: WeightedGraph, max_vertices: int = DEFAULT_MAX_VERTICES) -> LaurentP
             in_ = kept + code_in + inside * (1 - external)  # those edges internal instead
             placed[in_] = placed.get(in_, 0) + count
         terms = placed
-    decode = _unpacker(radix, slots)
-    return LaurentPolynomial(egdp_variables(g.r), {decode(code): count
+    return LaurentPolynomial(egdp_variables(g.r), {unpack(code, radix, slots): count
                                                    for code, count in terms.items()})
 
 

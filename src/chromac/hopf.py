@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .algebra import (LaurentPolynomial, MacMahonElement, TensorElement, Vector,
-                      VectorPartition, _expand_one_minus_u, _one_minus_u_power, _unpacker,
-                      character_sum, pack)
+                      VectorPartition, _expand_one_minus_u, _one_minus_u_power,
+                      character_sum, pack, unpack)
 from .chromatic import egdp_variables
 from .errors import CapExceededError, NotApplicableError
 
@@ -200,8 +200,8 @@ def _shifted_convolution(element: MacMahonElement, w_shift: int) -> LaurentPolyn
     if any(code < 0 for code, coeff in grid.items() if coeff):
         raise ValueError("negative w-exponents remain after removing the "
                          "component factor; the element is not the CMF of a forest")
-    decode = _unpacker(radix, len(names))
-    return LaurentPolynomial(names, {decode(code): coeff for code, coeff in grid.items() if coeff})
+    return LaurentPolynomial(names, {unpack(code, radix, len(names)): coeff
+                                     for code, coeff in grid.items() if coeff})
 
 
 def _convolution_buckets(terms: dict[VectorPartition, int], width: int, radix: int,
@@ -211,11 +211,11 @@ def _convolution_buckets(terms: dict[VectorPartition, int], width: int, radix: i
 
     `character_sum` sums the coefficients per (n, l, b, a, y): a part
     adds its size and 1 to (n, l), and either nothing or 1 and itself to
-    (b, a, y).  Each prefix (n, l, b, a) of the sums is decoded once, by
-    one `_unpacker` for the call, the y digits carried along as an
-    offset.  Every prefix comes from a basis symbol in the support, so
-    each gets its bucket even where the coefficients cancel.  The radix
-    must exceed every grade coordinate and length."""
+    (b, a, y).  Each prefix (n, l, b, a) of the sums is decoded once,
+    the y digits carried along as an offset.  Every prefix comes from a
+    basis symbol in the support, so each gets its bucket even where the
+    coefficients cancel.  The radix must exceed every grade coordinate
+    and length."""
     zeros = (0,) * width
 
     def image(part: Vector) -> dict[int, int]:
@@ -224,14 +224,13 @@ def _convolution_buckets(terms: dict[VectorPartition, int], width: int, radix: i
 
     w_unit = radix ** (width + 1)  # w^1 in the packed monomials
     y_span = radix ** (width - 1)  # the y digits end a kernel code
-    decode = _unpacker(radix, 4)
     prefixes: dict[int, tuple[dict[int, int], int]] = {}
     buckets: dict[int, dict[int, dict[int, int]]] = {}
     for key, coeff in character_sum(terms, image).items():
         prefix, y = divmod(key, y_span)
         slot = prefixes.get(prefix)
         if slot is None:
-            n, length, sub_length, a = decode(prefix)
+            n, length, sub_length, a = unpack(prefix, radix, 4)
             p = a - sub_length
             codes = buckets.setdefault(p, {}).setdefault(n - length - p, {})
             slot = prefixes[prefix] = codes, (n + w_shift) * w_unit + a * radix * y_span

@@ -21,7 +21,7 @@ EGDP frontier dynamic program and the per-type pointwise oracle.
 
 from __future__ import annotations
 
-from .algebra import LaurentPolynomial, VectorPartition, _expand_one_minus_u, _unpacker
+from .algebra import LaurentPolynomial, VectorPartition, _expand_one_minus_u, unpack
 from .chromatic import egdp_variables
 from .errors import NotApplicableError
 from .hopf import _convolution_buckets
@@ -56,10 +56,9 @@ def recover_egdp_explicit(table: dict[VectorPartition, int], n: int,
                                 for p, by_q in buckets.items() if p >= 0}, radix ** 3)
     terms: dict[tuple[int, ...], int] = {}
     total = 0
-    decode = _unpacker(radix, 4)
     for key in sorted(key for key, value in grid.items() if value and key >= 0):
         value = grid[key]
-        a, b0, c0, d = decode(key)
+        a, b0, c0, d = unpack(key, radix, 4)
         if value < 0:
             raise ValueError(f"negative reconstructed coefficient {value} at "
                              f"(ext,size,weight,internal)=({a},{b0},{c0},{d}); "

@@ -5,9 +5,10 @@ the counting functional; a graph's connected components and subset
 statistics: the component type of an edge subset, the induced subgraph
 and the external and internal edge counts of a vertex subset), Hopf-axiom
 checkers used by both the unit and acceptance suites, and definitional
-oracles for the CMF and EGDP dynamic programs, the packed truncation,
-the coloring enumeration, the one-pass specialisations, the
-grouped coproduct, the trie-kernel Hopf evaluations, the trie kernel's
+oracles for the CMF and EGDP dynamic programs, fingerprint oracles that
+evaluate both sides of the recovery identity at a point modulo a prime,
+the packed truncation, the coloring enumeration, the one-pass
+specialisations, the grouped coproduct, the trie-kernel Hopf evaluations, the trie kernel's
 node-by-node products, the bucketed (1 - u) expansion, the explicit
 recovery route and the product transition matrices (the family graph of
 a partition, the disjoint union of its checked members, row by row)."""
@@ -526,6 +527,144 @@ def egdp_by_vertex_subsets(g: WeightedGraph) -> LaurentPolynomial:
         key = (external, len(chosen), *weight, internal)
         terms[key] = terms.get(key, 0) + 1
     return LaurentPolynomial(egdp_variables(g.r), terms)
+
+
+# ---------------------------------------------------------------------------
+# Fingerprint oracles for the recovery identity Gamma(CMF(F)) = w^c EGDP(F)
+#
+# Gamma, the convolution of the two counting functionals, is multiplicative
+# over parts (Aguiar-Bergeron-Sottile 2006): a part of size a and weight y
+# goes to H(a, y) = alpha beta^a y^y + gamma delta^a with beta = x (w - z),
+# delta = w - 1, alpha = 1 / (1 - z/w) and gamma = 1 / (1 - 1/w).  Both
+# sides of the identity are then O(n) tree DPs at a point modulo a prime;
+# a false identity of degree O(n) agrees at a random point with
+# probability O(n / 2^61) (Schwartz-Zippel).
+
+FINGERPRINT_PRIME = (1 << 61) - 1
+
+
+def random_point(rng: random.Random, r: int) -> tuple[int, ...]:
+    """A point (w, x, y_1, ..., y_r, z) modulo FINGERPRINT_PRIME, in the
+    order of egdp_variables(r), with w not 0 or 1 and z != w, so that
+    1 - z/w and 1 - 1/w can be inverted."""
+    w = rng.randrange(2, FINGERPRINT_PRIME)
+    z = w
+    while z == w:
+        z = rng.randrange(FINGERPRINT_PRIME)
+    return (w, *(rng.randrange(FINGERPRINT_PRIME) for _ in range(r + 1)), z)
+
+
+def evaluate_at(poly: LaurentPolynomial, point: tuple[int, ...]) -> int:
+    """The polynomial at the point modulo FINGERPRINT_PRIME; a negative
+    exponent takes the inverse."""
+    total = 0
+    for exponents, coeff in poly.terms.items():
+        for value, e in zip(point, exponents):
+            coeff = coeff * pow(value, e, FINGERPRINT_PRIME) % FINGERPRINT_PRIME
+        total += coeff
+    return total % FINGERPRINT_PRIME
+
+
+def _y_power(ys: Iterable[int], weight: Iterable[int]) -> int:
+    value = 1
+    for y, c in zip(ys, weight):
+        value = value * pow(y, c, FINGERPRINT_PRIME) % FINGERPRINT_PRIME
+    return value
+
+
+def _children_first(g: WeightedGraph) -> list[tuple[int, int]]:
+    """(vertex, parent) for every vertex of the forest, children before
+    their parent; a root's parent is -1."""
+    neighbours: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    parent: list[int | None] = [None] * g.n
+    order: list[int] = []
+    for root in range(g.n):
+        if parent[root] is not None:
+            continue
+        parent[root] = -1
+        head = len(order)
+        order.append(root)
+        while head < len(order):  # breadth first, parents before children
+            v = order[head]
+            head += 1
+            for u in neighbours[v]:
+                if parent[u] is None:
+                    parent[u] = v
+                    order.append(u)
+                elif u != parent[v]:
+                    raise ValueError("the graph has a cycle")
+    return [(v, parent[v]) for v in reversed(order)]
+
+
+def egdp_at(g: WeightedGraph, point: tuple[int, ...]) -> int:
+    """EGDP(g) at the point: per vertex v, the subsets of its subtree with
+    v in A (inside) and not (outside); an edge to a child is internal,
+    external or neither as the child is inside or outside."""
+    w, x, *ys, z = point
+    inside = [x * _y_power(ys, weight) for weight in g.weights]
+    outside = [1] * g.n
+    value = 1
+    for v, p in _children_first(g):
+        if p < 0:
+            value = value * (inside[v] + outside[v]) % FINGERPRINT_PRIME
+        else:
+            inside[p] = inside[p] * (z * inside[v] + w * outside[v]) % FINGERPRINT_PRIME
+            outside[p] = outside[p] * (w * inside[v] + outside[v]) % FINGERPRINT_PRIME
+    return value
+
+
+def _gamma_constants(point: tuple[int, ...]) -> tuple[int, int, int, int]:
+    w, x, *_, z = point
+    w_inverse = pow(w, -1, FINGERPRINT_PRIME)
+    alpha = pow(1 - z * w_inverse, -1, FINGERPRINT_PRIME)
+    gamma = pow(1 - w_inverse, -1, FINGERPRINT_PRIME)
+    return alpha, x * (w - z) % FINGERPRINT_PRIME, gamma, (w - 1) % FINGERPRINT_PRIME
+
+
+def gamma_at(g: WeightedGraph, point: tuple[int, ...]) -> int:
+    """Gamma(CMF(g)) at the point without building the CMF.  CMF(g) sums
+    (-1)^|S| p_type(S) over edge subsets S, so each vertex carries, over
+    the subsets of its subtree, the signed sums U of beta^size y^weight
+    and V of delta^size of its open component, each times the H of the
+    components already closed.  The edge to a child c is left out, closing
+    c's component (a factor K = alpha U_c + gamma V_c), or kept with sign
+    -1, merging it (a factor U_c or V_c)."""
+    alpha, beta, gamma, delta = _gamma_constants(point)
+    ys = point[2:-1]
+    us = [beta * _y_power(ys, weight) % FINGERPRINT_PRIME for weight in g.weights]
+    vs = [delta] * g.n
+    value = 1
+    for v, p in _children_first(g):
+        closed = alpha * us[v] + gamma * vs[v]
+        if p < 0:
+            value = value * closed % FINGERPRINT_PRIME
+        else:
+            us[p] = us[p] * (closed - us[v]) % FINGERPRINT_PRIME
+            vs[p] = vs[p] * (closed - vs[v]) % FINGERPRINT_PRIME
+    return value
+
+
+def gamma_by_terms_at(element: MacMahonElement, point: tuple[int, ...]) -> int:
+    """Gamma(element) at the point, term by term: coeff times the product
+    of H(part) over the parts, H computed once per distinct part."""
+    alpha, beta, gamma, delta = _gamma_constants(point)
+    ys = point[2:-1]
+    images: dict[Vector, int] = {}
+    total = 0
+    for partition, coeff in element.terms.items():
+        for part in partition.parts:
+            image = images.get(part)
+            if image is None:
+                size = part[0]
+                image = images[part] = (
+                    alpha * pow(beta, size, FINGERPRINT_PRIME) * _y_power(ys, part[1:])
+                    + gamma * pow(delta, size, FINGERPRINT_PRIME)) % FINGERPRINT_PRIME
+            coeff = coeff * image % FINGERPRINT_PRIME
+        total += coeff
+    return total % FINGERPRINT_PRIME
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,13 @@ from chromac import (LaurentPolynomial, MacMahonElement, WeightedGraph,
                      recover_stats, specialize_csf, specialize_egdp,
                      star_family, symbolic_counting_image,
                      transition_matrix, truncation_variables)
+from chromac.graphs import RANDOM_FOREST_MAX_WEIGHTS
 
-from conftest import (antipode_convolution, beta_by_edge_subsets, choose,
-                      coproduct_respects_product, counit,
-                      double_coproduct_left, double_coproduct_right,
-                      induced_subgraph, random_element, swap, tensor_product,
-                      tensor_sum, weight_patterns)
+from conftest import (FINGERPRINT_PRIME, antipode_convolution, beta_by_edge_subsets,
+                      choose, coproduct_respects_product, counit,
+                      double_coproduct_left, double_coproduct_right, egdp_at,
+                      gamma_at, induced_subgraph, random_element, random_point,
+                      swap, tensor_product, tensor_sum, weight_patterns)
 
 
 def _line(number: int, label: str, verdict: str, elapsed: float) -> None:
@@ -252,3 +253,15 @@ def test_acceptance_10_recovery_at_scale():
                 table = beta_table(g)
                 assert recover_egdp_explicit(
                     table, g.n, g.total_weight[0], g.edge_count) == expected, g
+
+
+def test_acceptance_11_recovery_identity_fingerprint():
+    with report(11, "recovery identity at a random point, n = 50-10,000", bound=30.0):
+        rng = random.Random(2111)
+        for i in range(100):
+            n = round(50 * 200 ** (i / 99))  # geometric from 50 to 10,000
+            r = 2 if i % 2 and 2 * n <= RANDOM_FOREST_MAX_WEIGHTS else 1
+            g = random_forest(n, max_weight=3, r=r, seed=rng.randrange(2 ** 32))
+            point = random_point(rng, r)
+            w_power = pow(point[0], g.n - g.edge_count, FINGERPRINT_PRIME)
+            assert gamma_at(g, point) == w_power * egdp_at(g, point) % FINGERPRINT_PRIME, (n, r)

@@ -20,8 +20,9 @@ from chromac import (CapExceededError, LaurentPolynomial, MacMahonElement,
 from chromac.cli import main
 
 from conftest import (beta_by_edge_subsets, cmf_by_edge_subsets, colorings_by_product,
-                      egdp_by_vertex_subsets, random_simple_graph, specialize_csf_two_pass,
-                      specialize_egdp_two_pass, substitute_one)
+                      egdp_by_vertex_subsets, gamma_at, gamma_by_terms_at, random_point,
+                      random_simple_graph, specialize_csf_two_pass, specialize_egdp_two_pass,
+                      substitute_one)
 
 
 def vp(*parts):
@@ -448,6 +449,16 @@ def test_egdp_and_cmf_multiply_over_disjoint_unions_of_cyclic_graphs(seed, r):
     assert cmf(union) == cmf(a) * cmf(b)
 
 
+def test_cmf_terms_match_the_fingerprint_past_the_coloring_oracle():
+    # 113,396 terms at n = 30, where cmf_by_enumeration's cap refuses:
+    # the convolution of the materialised terms equals the tree DP's
+    g = random_forest(30, 2, seed=1)
+    element = cmf(g)
+    assert len(element.terms) == 113_396
+    point = random_point(random.Random(30), 1)
+    assert gamma_by_terms_at(element, point) == gamma_at(g, point)
+
+
 # ---------------------------------------------------------------------------
 # CSF specializations
 
@@ -519,6 +530,24 @@ def test_wcsf_counterexample(t1, t2):
     assert specialize_csf(cmf(t1), "weight") == specialize_csf(cmf(t2), "weight")
     assert specialize_csf(cmf(t1), "cardinality") == specialize_csf(cmf(t2), "cardinality")
     assert cmf(t1) != cmf(t2)
+
+
+def test_recovery_needs_the_forest_hypothesis():
+    # one cycle each, unit weights: a triangle with a pendant vertex and a
+    # pendant two-vertex path at one corner, against a triangle with one
+    # pendant vertex at each corner
+    a = WeightedGraph(6, (1,) * 6, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 3)))
+    b = WeightedGraph(6, (1,) * 6, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5)))
+    assert cmf(a) == cmf(b)
+    assert egdp(a) != egdp(b)
+
+    def marginal(g, keep):
+        poly = egdp(g)
+        return substitute_one(poly, [name for name in poly.variables if name not in keep])
+
+    assert marginal(a, ("x", "z")) != marginal(b, ("x", "z"))  # size and internal edges
+    assert marginal(a, ("w",)) == marginal(b, ("w",))
+    assert marginal(a, ("x",)) == marginal(b, ("x",))
 
 
 # ---------------------------------------------------------------------------

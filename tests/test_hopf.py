@@ -20,8 +20,9 @@ from chromac import (CapExceededError, LaurentPolynomial, LinearFunctional,
 from conftest import (antipode_convolution, cmf_by_edge_subsets, coproduct_by_positions,
                       coproduct_respects_product, counit, counting_functional,
                       counting_image_by_functional, double_coproduct_left,
-                      double_coproduct_right, egdp_convolution_by_coproduct,
-                      induced_subgraph, random_element, random_simple_graph,
+                      double_coproduct_right, egdp_at, egdp_convolution_by_coproduct,
+                      evaluate_at, gamma_at, induced_subgraph, random_element,
+                      random_point, random_simple_graph,
                       recover_egdp_explicit_per_type, swap, tensor_product, tensor_sum,
                       truncate_by_products)
 
@@ -375,6 +376,24 @@ def test_recovery_rejects_a_w_exponent_below_the_component_count():
                                          "component factor; the element is not the CMF of "
                                          "a forest$"):
         recover_egdp_hopf(element)
+
+
+def test_fingerprint_oracles_match_the_convolution_and_the_egdp():
+    rng = random.Random(2111)
+    for i in range(60):
+        r = 1 + i % 2
+        g = random_forest(rng.randint(0, 12), max_weight=3, r=r, seed=rng.randrange(2 ** 32))
+        point = random_point(rng, r)
+        assert gamma_at(g, point) == evaluate_at(egdp_convolution(cmf(g)), point), g
+        assert egdp_at(g, point) == evaluate_at(egdp(g), point), g
+
+
+def test_hopf_recovery_at_n_20_matches_the_fingerprint():
+    # the kernel, the buckets, the (1 - u) expansion and the decode of
+    # 34,946 CMF terms, checked against the O(n) EGDP tree DP
+    g = random_forest(20, 3, seed=1)
+    point = random_point(random.Random(20), 1)
+    assert evaluate_at(recover_egdp_hopf(cmf(g)), point) == egdp_at(g, point)
 
 
 # ---------------------------------------------------------------------------
