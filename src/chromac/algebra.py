@@ -13,9 +13,11 @@ convolution of two counting functionals and the explicit recovery
 formula) is evaluated by one kernel, `character_sum`, on polynomials
 whose exponent vectors are packed into integers, and both recovery
 routes multiply the kernel's sums by their powers of (1 - u) with
-`_expand_one_minus_u`, one product per power rather than per sum.  The
-kernel closes each trie node in one loop, and `unpack` decodes every
-packed code.
+`_expand_one_minus_u`, one product per power rather than per sum.
+Every product of packed polynomials goes through `add_product`: the
+kernel's trie-node closes, the (1 - u) expansion, the forest CMF
+dynamic program's merges and the rows of the transition matrices.
+`unpack` decodes every packed code.
 """
 
 from __future__ import annotations
@@ -246,12 +248,12 @@ def character_sum(terms: dict[VectorPartition, int],
     trie is evaluated bottom up with a stack: a node holds the sum, over
     the symbols below it, of their coefficient times the product of the
     images of their later parts, and closing a node adds that sum times
-    each term of the image of its own part into its parent, in one loop.
-    Each distinct part's image is computed once.  Like add_product, the
-    result keeps every code that some symbol reaches, even where the
-    coefficients cancel.  A budget bounds the terms of every node's sum:
-    it is checked after each image term, so a close raises exactly when
-    it leaves its parent with more terms than the budget."""
+    the image of its own part into its parent with one add_product call.
+    Each distinct part's image is computed at its first close.  Like
+    add_product, the result keeps every code that some symbol reaches,
+    even where the coefficients cancel.  A budget bounds the terms of
+    every node's sum; a sum only grows, so a close raises exactly when it
+    leaves its parent with more terms than the budget."""
     images: dict[Vector, dict[int, int]] = {}
     path: list[Vector] = []
     sums: list[dict[int, int]] = [{}]  # sums[d]: the open node at depth d
@@ -262,14 +264,7 @@ def character_sum(terms: dict[VectorPartition, int],
         if values is None:
             values = images[part] = image(part)
         node = sums.pop()
-        parent = sums[-1]
-        get = parent.get
-        for code_v, count_v in values.items():
-            for code, count in node.items():
-                code += code_v
-                parent[code] = get(code, 0) + count * count_v
-            if budget is not None and len(parent) > budget:
-                raise CapExceededError(f"a product exceeds its budget of {budget} live terms")
+        add_product(sums[-1], node, values, budget)
 
     for parts, coeff in sorted((p.parts[::-1], c) for p, c in terms.items()):
         shared = 0

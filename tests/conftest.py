@@ -6,7 +6,8 @@ statistics: the component type of an edge subset, the induced subgraph
 and the external and internal edge counts of a vertex subset), Hopf-axiom
 checkers used by both the unit and acceptance suites, and definitional
 oracles for the CMF and EGDP dynamic programs, fingerprint oracles that
-evaluate both sides of the recovery identity at a point modulo a prime,
+evaluate both sides of the recovery identity at a point modulo a prime
+(Gamma of the CMF of any graph too, by deletion and contraction),
 the packed truncation, the coloring enumeration, the one-pass
 specialisations, the grouped coproduct, the trie-kernel Hopf evaluations, the trie kernel's
 node-by-node products, the bucketed (1 - u) expansion, the explicit
@@ -572,16 +573,16 @@ def _y_power(ys: Iterable[int], weight: Iterable[int]) -> int:
     return value
 
 
-def _children_first(g: WeightedGraph) -> list[tuple[int, int]]:
-    """(vertex, parent) for every vertex of the forest, children before
-    their parent; a root's parent is -1."""
-    neighbours: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
+def _children_first(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(vertex, parent) for every vertex of the forest on 0..n-1, children
+    before their parent; a root's parent is -1."""
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
         neighbours[u].append(v)
         neighbours[v].append(u)
-    parent: list[int | None] = [None] * g.n
+    parent: list[int | None] = [None] * n
     order: list[int] = []
-    for root in range(g.n):
+    for root in range(n):
         if parent[root] is not None:
             continue
         parent[root] = -1
@@ -607,7 +608,7 @@ def egdp_at(g: WeightedGraph, point: tuple[int, ...]) -> int:
     inside = [x * _y_power(ys, weight) for weight in g.weights]
     outside = [1] * g.n
     value = 1
-    for v, p in _children_first(g):
+    for v, p in _children_first(g.n, g.edges):
         if p < 0:
             value = value * (inside[v] + outside[v]) % FINGERPRINT_PRIME
         else:
@@ -624,6 +625,23 @@ def _gamma_constants(point: tuple[int, ...]) -> tuple[int, int, int, int]:
     return alpha, x * (w - z) % FINGERPRINT_PRIME, gamma, (w - 1) % FINGERPRINT_PRIME
 
 
+def _gamma_of_forest(edges: Iterable[tuple[int, int]], us: list[int], vs: list[int],
+                     point: tuple[int, ...]) -> int:
+    """Gamma of the forest's CMF at the point, vertex v opening its
+    component at U = us[v] and V = vs[v]; see gamma_at.  Updates us and
+    vs in place."""
+    alpha, _, gamma, _ = _gamma_constants(point)
+    value = 1
+    for v, p in _children_first(len(us), edges):
+        closed = alpha * us[v] + gamma * vs[v]
+        if p < 0:
+            value = value * closed % FINGERPRINT_PRIME
+        else:
+            us[p] = us[p] * (closed - us[v]) % FINGERPRINT_PRIME
+            vs[p] = vs[p] * (closed - vs[v]) % FINGERPRINT_PRIME
+    return value
+
+
 def gamma_at(g: WeightedGraph, point: tuple[int, ...]) -> int:
     """Gamma(CMF(g)) at the point without building the CMF.  CMF(g) sums
     (-1)^|S| p_type(S) over edge subsets S, so each vertex carries, over
@@ -632,19 +650,50 @@ def gamma_at(g: WeightedGraph, point: tuple[int, ...]) -> int:
     components already closed.  The edge to a child c is left out, closing
     c's component (a factor K = alpha U_c + gamma V_c), or kept with sign
     -1, merging it (a factor U_c or V_c)."""
-    alpha, beta, gamma, delta = _gamma_constants(point)
+    _, beta, _, delta = _gamma_constants(point)
     ys = point[2:-1]
-    us = [beta * _y_power(ys, weight) % FINGERPRINT_PRIME for weight in g.weights]
-    vs = [delta] * g.n
-    value = 1
-    for v, p in _children_first(g):
-        closed = alpha * us[v] + gamma * vs[v]
-        if p < 0:
-            value = value * closed % FINGERPRINT_PRIME
-        else:
-            us[p] = us[p] * (closed - us[v]) % FINGERPRINT_PRIME
-            vs[p] = vs[p] * (closed - vs[v]) % FINGERPRINT_PRIME
-    return value
+    return _gamma_of_forest(
+        g.edges, [beta * _y_power(ys, weight) % FINGERPRINT_PRIME for weight in g.weights],
+        [delta] * g.n, point)
+
+
+def gamma_by_contraction_at(g: WeightedGraph, point: tuple[int, ...]) -> int:
+    """Gamma(CMF(g)) at the point for any graph, by deletion and
+    contraction.  For an edge e that closes a cycle, the edge subsets
+    without e are those of g - e, and those with e are the subsets of
+    g / e with the opposite sign, so CMF(g) = CMF(g - e) - CMF(g / e), where
+    the contracted vertex carries the sum of both sizes and both weights.
+    An edge that becomes a loop makes that branch 0 (a subset with it and
+    the same subset without it cancel), and parallel edges count once (the
+    nonempty subsets of a parallel class sum to the sign of one edge).  At
+    a forest, gamma_at's DP runs with each vertex opening its component at
+    U = beta^size y^weight and V = delta^size."""
+    _, beta, _, delta = _gamma_constants(point)
+    ys = point[2:-1]
+
+    def evaluate(sizes: list[int], weights: list[Vector], edges: list[tuple[int, int]]) -> int:
+        union = UnionFind(len(sizes))
+        cycle = next((e for e in edges if not union.union(*e)), None)
+        if cycle is None:
+            return _gamma_of_forest(
+                edges, [pow(beta, size, FINGERPRINT_PRIME) * _y_power(ys, weight)
+                        % FINGERPRINT_PRIME for size, weight in zip(sizes, weights)],
+                [pow(delta, size, FINGERPRINT_PRIME) for size in sizes], point)
+        u, v = cycle  # u < v: v merges into u, and the vertices after v move down one
+        deleted = [e for e in edges if e != cycle]
+        value = evaluate(sizes, weights, deleted)
+        label = [x if x < v else u if x == v else x - 1 for x in range(len(sizes))]
+        contracted = sorted({(min(label[a], label[b]), max(label[a], label[b]))
+                             for a, b in deleted})
+        if all(a != b for a, b in contracted):
+            merged_sizes = sizes[:v] + sizes[v + 1:]
+            merged_sizes[u] += sizes[v]
+            merged_weights = weights[:v] + weights[v + 1:]
+            merged_weights[u] = tuple(a + b for a, b in zip(weights[u], weights[v]))
+            value -= evaluate(merged_sizes, merged_weights, contracted)
+        return value % FINGERPRINT_PRIME
+
+    return evaluate([1] * g.n, list(g.weights), list(g.edges))
 
 
 def gamma_by_terms_at(element: MacMahonElement, point: tuple[int, ...]) -> int:

@@ -26,12 +26,13 @@ from chromac import (LaurentPolynomial, MacMahonElement, WeightedGraph,
                      recover_stats, specialize_csf, specialize_egdp,
                      star_family, symbolic_counting_image,
                      transition_matrix, truncation_variables)
-from chromac.graphs import RANDOM_FOREST_MAX_WEIGHTS
+from chromac.graphs import RANDOM_FOREST_MAX_WEIGHTS, tree_from_pruefer
 
 from conftest import (FINGERPRINT_PRIME, antipode_convolution, beta_by_edge_subsets,
                       choose, coproduct_respects_product, counit,
                       double_coproduct_left, double_coproduct_right, egdp_at,
-                      gamma_at, induced_subgraph, random_element, random_point,
+                      gamma_at, gamma_by_contraction_at, gamma_by_terms_at,
+                      induced_subgraph, random_element, random_point,
                       swap, tensor_product, tensor_sum, weight_patterns)
 
 
@@ -265,3 +266,19 @@ def test_acceptance_11_recovery_identity_fingerprint():
             point = random_point(rng, r)
             w_power = pow(point[0], g.n - g.edge_count, FINGERPRINT_PRIME)
             assert gamma_at(g, point) == w_power * egdp_at(g, point) % FINGERPRINT_PRIME, (n, r)
+
+
+def test_acceptance_12_cyclic_cmf_fingerprint():
+    # the whole CMF of graphs with a cycle, past cmf_by_enumeration's cap
+    # (n >= 15 at 3 colors); more extra edges soon reach CMF_STATE_DIGITS
+    with report(12, "cyclic CMF at a random point, n = 10-16", bound=30.0):
+        rng = random.Random(2112)
+        for _ in range(24):
+            n, r = rng.randint(10, 16), rng.randint(1, 2)
+            tree = set(tree_from_pruefer([rng.randrange(n) for _ in range(n - 2)], n))
+            chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+            edges = tree | set(rng.sample(chords, rng.randint(1, 5)))
+            weights = [tuple(rng.randint(1, 3) for _ in range(r)) for _ in range(n)]
+            g = WeightedGraph(n, weights, edges, r)
+            point = random_point(rng, r)
+            assert gamma_by_terms_at(cmf(g), point) == gamma_by_contraction_at(g, point), g

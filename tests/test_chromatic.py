@@ -20,7 +20,8 @@ from chromac import (CapExceededError, LaurentPolynomial, MacMahonElement,
 from chromac.cli import main
 
 from conftest import (beta_by_edge_subsets, cmf_by_edge_subsets, colorings_by_product,
-                      egdp_by_vertex_subsets, gamma_at, gamma_by_terms_at, random_point,
+                      egdp_by_vertex_subsets, gamma_at, gamma_by_contraction_at,
+                      gamma_by_terms_at, random_point,
                       random_simple_graph, specialize_csf_two_pass, specialize_egdp_two_pass,
                       substitute_one)
 
@@ -457,6 +458,33 @@ def test_cmf_terms_match_the_fingerprint_past_the_coloring_oracle():
     assert len(element.terms) == 113_396
     point = random_point(random.Random(30), 1)
     assert gamma_by_terms_at(element, point) == gamma_at(g, point)
+
+
+def test_contraction_fingerprint_matches_the_edge_subset_cmf():
+    # the definitional CMF, so the oracle is checked without cmf's DPs;
+    # a +1 on one coefficient of a cyclic graph's CMF is caught
+    rng = random.Random(1212)
+    for _ in range(40):
+        g = random_simple_graph(rng, rng.randint(1, 7), r=rng.randint(1, 2), max_weight=3,
+                                density=rng.uniform(0.2, 0.8))
+        point = random_point(rng, g.r)
+        assert gamma_by_contraction_at(g, point) == gamma_by_terms_at(
+            cmf_by_edge_subsets(g), point), g
+    g = cycle_graph([1, 2, 3, 1])
+    element = cmf_by_edge_subsets(g)
+    partition = next(iter(element.terms))
+    changed = element + MacMahonElement(element.width, {partition: 1})
+    point = random_point(rng, 1)
+    assert gamma_by_contraction_at(g, point) != gamma_by_terms_at(changed, point)
+
+
+def test_contraction_fingerprint_equals_gamma_at_on_forests():
+    rng = random.Random(1213)
+    for _ in range(20):
+        g = random_forest(rng.randint(1, 40), max_weight=3, r=rng.randint(1, 2),
+                          seed=rng.randrange(2 ** 32))
+        point = random_point(rng, g.r)
+        assert gamma_by_contraction_at(g, point) == gamma_at(g, point), g
 
 
 # ---------------------------------------------------------------------------
