@@ -64,18 +64,22 @@ class VectorPartition:
         ordered = tuple(sorted(self.parts, reverse=True))
         if ordered != self.parts:
             object.__setattr__(self, "parts", ordered)
+        object.__setattr__(self, "_hash", hash((self.width, self.parts)))
 
     @classmethod
     def from_canonical(cls, width: int, parts: tuple[Vector, ...],
                        grade: Vector | None = None) -> VectorPartition:
         """Trusted constructor for parts already valid and in descending
         order; skips the checks, for callers that build many partitions,
-        and takes the grade from a caller that knows it."""
+        and takes the grade from a caller that knows it.  Like the checked
+        constructor it stores the hash as it builds the partition."""
         partition = object.__new__(cls)
-        object.__setattr__(partition, "width", width)
-        object.__setattr__(partition, "parts", parts)
+        store = object.__setattr__
+        store(partition, "width", width)
+        store(partition, "parts", parts)
         if grade is not None:
-            object.__setattr__(partition, "grade", grade)
+            store(partition, "grade", grade)
+        store(partition, "_hash", hash((width, parts)))
         return partition
 
     @classmethod
@@ -101,11 +105,8 @@ class VectorPartition:
                 total[i] += c
         return tuple(total)
 
-    def __hash__(self) -> int:  # computed once: partitions key many dicts
-        value = self.__dict__.get("_hash")
-        if value is None:
-            value = self.__dict__["_hash"] = hash((self.width, self.parts))
-        return value
+    def __hash__(self) -> int:  # stored by both constructors, read without an instance dict
+        return self._hash
 
     def multiplicities(self) -> dict[Vector, int]:
         counts: dict[Vector, int] = {}
@@ -282,6 +283,15 @@ def character_sum(terms: dict[VectorPartition, int],
     return sums[0]
 
 
+def _without_zeros(terms: dict) -> dict:
+    """A copy of terms without its zero coefficients.  With no zero it is a
+    plain copy, which reuses the keys' stored hashes instead of hashing
+    each key again."""
+    if 0 in terms.values():
+        return {key: c for key, c in terms.items() if c != 0}
+    return dict(terms)
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 
@@ -299,7 +309,7 @@ class LaurentPolynomial:
     terms: dict[Exponents, int]
 
     def __post_init__(self) -> None:
-        pruned = {e: c for e, c in self.terms.items() if c != 0}
+        pruned = _without_zeros(self.terms)
         for e in pruned:
             if len(e) != len(self.variables):
                 raise ValueError(f"exponent tuple {e} does not match variables {self.variables}")
@@ -433,7 +443,7 @@ class MacMahonElement:
     terms: dict[VectorPartition, int]
 
     def __post_init__(self) -> None:
-        pruned = {p: c for p, c in self.terms.items() if c != 0}
+        pruned = _without_zeros(self.terms)
         for p in pruned:
             if p.width != self.width:
                 raise ValueError(f"partition width {p.width} does not match element width {self.width}")
@@ -546,7 +556,7 @@ class TensorElement:
     terms: dict[tuple[VectorPartition, VectorPartition], int]
 
     def __post_init__(self) -> None:
-        pruned = {k: c for k, c in self.terms.items() if c != 0}
+        pruned = _without_zeros(self.terms)
         for left, right in pruned:
             if left.width != self.width or right.width != self.width:
                 raise ValueError("tensor factor width does not match element width")

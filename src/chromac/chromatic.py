@@ -258,27 +258,44 @@ def _closed_types(states: dict[int, int], shifts: dict[int, int], low: int, digi
     in the CMF, from states whose closed components are one multiplicity
     digit per distinct component code, at the shifts given, above `low`
     bits that are zero.  Every type partitions the whole graph, so each
-    gets the graph's grade (n, total weight...) as it is built."""
+    gets the graph's grade (n, total weight...) as it is built.
+
+    A state is read top down in chunks of four digits: the top
+    nonzero chunk is found from the bit length, its parts are looked up
+    by position and value (decoded digit by digit the first time that
+    chunk occurs in the call) and the chunk is cleared, so the work
+    follows the nonzero chunks rather than the width of the state."""
     n, width = grade[0], len(grade)
     part_at = {shift: unpack(code, radix, width) for code, shift in shifts.items()}
     mask = (1 << digit) - 1
+    span = 4 * digit  # bits of a chunk
+    chunk_parts: dict[int, list[tuple[int, ...]]] = {}  # position and value -> parts
+    build = VectorPartition.from_canonical
     counts = {}
     for state, count in states.items():
         parts: list[tuple[int, ...]] = []
         while state:
-            shift = low + ((state & -state).bit_length() - 1 - low) // digit * digit
-            times = state >> shift & mask
-            parts += [part_at[shift]] * times
-            state -= times << shift
+            at = low + (state.bit_length() - 1 - low) // span * span
+            chunk = state >> at
+            key = at << span | chunk
+            found = chunk_parts.get(key)
+            if found is None:
+                found = chunk_parts[key] = []
+                for shift in range(at, at + span, digit):
+                    times = chunk >> shift - at & mask
+                    if times:
+                        found += [part_at[shift]] * times
+            parts += found
+            state ^= chunk << at
         parts.sort(reverse=True)
-        counts[VectorPartition.from_canonical(width, tuple(parts), grade)] = (
-            -count if (n - len(parts)) & 1 else count)
+        counts[build(width, tuple(parts), grade)] = -count if (n - len(parts)) & 1 else count
     return counts
 
 
 def specialize_csf(element: MacMahonElement, keep: str) -> MacMahonElement:
     """Project each part to its cardinality slot or to its weight slots,
-    dropping parts that become zero and merging collisions."""
+    dropping parts that become zero and merging collisions.  Each
+    distinct part is projected once per call."""
     if keep == "cardinality":
         new_width, slots = 1, slice(0, 1)
     elif keep == "weight":
@@ -287,10 +304,16 @@ def specialize_csf(element: MacMahonElement, keep: str) -> MacMahonElement:
         new_width, slots = element.width - 1, slice(1, None)
     else:
         raise ValueError(f"keep must be 'cardinality' or 'weight', got {keep!r}")
+    images: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}  # part -> () or (projection,)
     sums: dict[tuple[tuple[int, ...], ...], int] = {}  # canonical parts -> coefficient
     for partition, coeff in element.terms.items():
-        parts = sorted((p for p in (part[slots] for part in partition.parts) if any(p)),
-                       reverse=True)
+        parts: list[tuple[int, ...]] = []
+        for part in partition.parts:
+            image = images.get(part)
+            if image is None:
+                image = images[part] = (part[slots],) if any(part[slots]) else ()
+            parts += image
+        parts.sort(reverse=True)
         key = tuple(parts)
         sums[key] = sums.get(key, 0) + coeff
     return MacMahonElement(new_width, {VectorPartition.from_canonical(new_width, parts): coeff

@@ -31,7 +31,7 @@ from chromac import (LaurentPolynomial, LinearFunctional, MacMahonElement,
                      counterexample_pair, cycle_graph, disjoint_union,
                      egdp_variables, partitions_of, path_graph,
                      realizable_partitions, star_graph, truncation_variables)
-from chromac.algebra import Vector, _one_minus_u_power, add_product
+from chromac.algebra import Vector, _one_minus_u_power, add_product, unpack
 from chromac.bases import Family
 from chromac.graphs import UnionFind
 from chromac.hopf import counting_variables
@@ -506,6 +506,30 @@ def cmf_by_edge_subsets(g: WeightedGraph) -> MacMahonElement:
         key = component_type(g, subset)
         terms[key] = terms.get(key, 0) + (-1) ** len(subset)
     return MacMahonElement(g.r + 1, terms)
+
+
+def closed_types_by_bit_walk(states: dict[int, int], shifts: dict[int, int], low: int,
+                             digit: int, radix: int,
+                             grade: tuple[int, ...]) -> dict[VectorPartition, int]:
+    """The CMF DPs' decode one digit at a time, lowest set bit first: each
+    state's closed-component digits become the parts of its type, signed
+    (-1)^(n - length), with the graph's grade.  The reference for the
+    chunked decode `chromatic._closed_types`."""
+    n, width = grade[0], len(grade)
+    part_at = {shift: unpack(code, radix, width) for code, shift in shifts.items()}
+    mask = (1 << digit) - 1
+    counts = {}
+    for state, count in states.items():
+        parts: list[tuple[int, ...]] = []
+        while state:
+            shift = low + ((state & -state).bit_length() - 1 - low) // digit * digit
+            times = state >> shift & mask
+            parts += [part_at[shift]] * times
+            state -= times << shift
+        parts.sort(reverse=True)
+        counts[VectorPartition.from_canonical(width, tuple(parts), grade)] = (
+            -count if (n - len(parts)) & 1 else count)
+    return counts
 
 
 def beta_by_edge_subsets(g: WeightedGraph) -> dict[VectorPartition, int]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -238,6 +239,53 @@ def test_serialization_golden():
     assert e.to_text() == "-1 * p[(2,3)]\n+1 * p[(1,2),(1,1)]"
     assert MacMahonElement.zero(2).to_text() == "0"
     assert MacMahonElement.one(2).to_text() == "+1 * p[]"
+
+
+# ---------------------------------------------------------------------------
+# Construction
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any), max_size=6))
+def test_from_canonical_equals_and_hashes_like_of(parts):
+    """The trusted constructor, with or without a grade, builds the
+    partition that the checked one builds from the same parts."""
+    checked = VectorPartition.of(parts, width=2)
+    for grade in (None, checked.grade):
+        trusted = VectorPartition.from_canonical(2, checked.parts, grade)
+        assert trusted == checked and trusted.grade == checked.grade
+        assert hash(trusted) == hash(checked) == hash((2, checked.parts))
+
+
+ELEMENT_MAKERS = {
+    "macmahon": (lambda terms: MacMahonElement(2, terms), vp((1, 2)), vp((2, 3), (1, 1)),
+                 vp((1, 2, 3)), "partition width 3 does not match element width 2"),
+    "laurent": (lambda terms: LaurentPolynomial(("x", "y"), terms), (1, 2), (0, -1),
+                (1, 2, 3), "exponent tuple (1, 2, 3) does not match variables ('x', 'y')"),
+}
+
+
+@pytest.mark.parametrize("kind", ELEMENT_MAKERS)
+def test_construction_copies_the_terms_and_prunes_zeros(kind):
+    """Whether or not there is a zero to prune, an element owns its terms:
+    changing the caller's dict afterwards does not reach them."""
+    make, key, other, _, _ = ELEMENT_MAKERS[kind]
+    for source in ({key: 3}, {key: 3, other: 0}):
+        element = make(source)
+        assert element.terms == {key: 3}
+        source[key] = 5
+        source[other] = 7
+        assert element.terms == {key: 3}
+    assert make({key: 0, other: 0}).is_zero()
+
+
+@pytest.mark.parametrize("kind", ELEMENT_MAKERS)
+def test_construction_checks_keep_their_messages(kind):
+    """A key of the wrong width or length is refused with the same message
+    whether or not a zero coefficient is pruned beside it."""
+    make, key, other, wrong, message = ELEMENT_MAKERS[kind]
+    for source in ({key: 1, wrong: 2}, {key: 1, other: 0, wrong: 2}):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make(source)
 
 
 # ---------------------------------------------------------------------------

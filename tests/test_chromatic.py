@@ -19,9 +19,9 @@ from chromac import (CapExceededError, LaurentPolynomial, MacMahonElement,
                      star_graph)
 from chromac.cli import main
 
-from conftest import (beta_by_edge_subsets, cmf_by_edge_subsets, colorings_by_product,
-                      egdp_by_vertex_subsets, gamma_at, gamma_by_contraction_at,
-                      gamma_by_terms_at, random_point,
+from conftest import (beta_by_edge_subsets, closed_types_by_bit_walk, cmf_by_edge_subsets,
+                      colorings_by_product, egdp_by_vertex_subsets, gamma_at,
+                      gamma_by_contraction_at, gamma_by_terms_at, random_point,
                       random_simple_graph, specialize_csf_two_pass, specialize_egdp_two_pass,
                       substitute_one)
 
@@ -105,6 +105,65 @@ def test_cmf_terms_carry_their_grade_and_hash(g):
         assert handed == tuple(sum(part[i] for part in partition.parts) for i in range(width))
         rebuilt = VectorPartition.of(partition.parts, width=width)
         assert partition == rebuilt and hash(partition) == hash(rebuilt)
+
+
+@st.composite
+def closed_state_tables(draw):
+    """Arguments of `_closed_types` as both CMF dynamic programs build them:
+    distinct component codes whose digits are handed out in first-close
+    order, not code order, `digit` bits each above `low` zero bits, and
+    states holding any multiplicity a digit can carry, on digits that lie
+    in any of the four-digit chunks."""
+    width = draw(st.integers(1, 3))
+    radix = draw(st.integers(2, 5))
+    codes = draw(st.permutations(sorted(draw(st.sets(st.integers(1, radix ** width - 1),
+                                                     max_size=13)))))
+    digit = draw(st.integers(1, 6))
+    low = draw(st.one_of(st.just(0), st.integers(1, 24)))
+    shifts = {code: low + digit * i for i, code in enumerate(codes)}
+    states = {}
+    for _ in range(draw(st.integers(0, 6))):
+        held = draw(st.sets(st.sampled_from(range(len(codes))))) if codes else set()
+        state = sum(draw(st.integers(1, (1 << digit) - 1)) << low + digit * i for i in held)
+        states[state] = draw(st.integers(1, 10 ** 6))
+    grade = (draw(st.integers(0, 40)), *(draw(st.integers(0, 99)) for _ in range(width - 1)))
+    return states, shifts, low, digit, radix, grade
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_state_tables())
+@example(({0: 1}, {}, 1, 0, 1, (0, 0)))  # the empty graph: n = 0, so digits of 0 bits
+@example(({15 << 15 | 15 << 19 | 1 << 3: 3, 7 << 19 | 2 << 35: 5},  # both sides of a chunk edge
+          {code: 3 + 4 * i for i, code in enumerate(range(26, 0, -3))}, 3, 4, 3, (9, 9, 9)))
+def test_closed_types_match_the_bit_walk(table):
+    """The chunked top-down decode gives the types, counts, signs and
+    order of the lowest-bit-first walk, and every type carries the grade
+    it was handed and the hash of (width, parts)."""
+    got = chromatic._closed_types(*table)
+    expected = closed_types_by_bit_walk(*table)
+    assert list(got.items()) == list(expected.items())
+    for partition in got:
+        assert vars(partition)["grade"] == table[-1]
+        assert hash(partition) == hash((partition.width, partition.parts))
+
+
+def test_closed_types_step_over_zero_chunks():
+    """2,000 states with three nonzero digits among 50,000 codes, one in
+    the lowest and one in the highest of their 12,500 four-digit chunks:
+    the decode visits only the nonzero chunks, well inside the bound,
+    where a walk through the zero chunks between them does not."""
+    rng = random.Random(24)
+    radix, width, digit, low = 256, 2, 4, 17
+    codes = rng.sample(range(1, radix ** width), 50_000)
+    shifts = {code: low + digit * i for i, code in enumerate(codes)}
+    states: dict[int, int] = {}
+    while len(states) < 2_000:
+        held = {rng.randrange(4), rng.randrange(4, 49_996), rng.randrange(49_996, 50_000)}
+        states[sum(rng.randint(1, 15) << low + digit * i for i in held)] = rng.randint(1, 9)
+    start = time.perf_counter()
+    types = chromatic._closed_types(states, shifts, low, digit, radix, (40, 10_000))
+    assert time.perf_counter() - start < 1
+    assert len(types) == len(states)
 
 
 # ---------------------------------------------------------------------------
