@@ -114,11 +114,6 @@ class VectorPartition:
             counts[part] = counts.get(part, 0) + 1
         return counts
 
-    def concat(self, other: VectorPartition) -> VectorPartition:
-        if self.width != other.width:
-            raise ValueError("cannot concatenate partitions of different widths")
-        return VectorPartition(self.width, self.parts + other.parts)
-
     def sort_key(self) -> tuple:
         """Total order used everywhere: grade, then length, then parts."""
         return (self.grade, self.length, self.parts)
@@ -393,15 +388,13 @@ class LaurentPolynomial:
         key = tuple(exponents.get(name, 0) for name in self.variables)
         return self.terms.get(key, 0)
 
-    def sorted_terms(self) -> list[tuple[Exponents, int]]:
-        """Graded order: total degree ascending, then exponents descending."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), tuple(-x for x in item[0])))
-
     def to_text(self) -> str:
+        """Terms in graded order: total degree ascending, then exponents descending."""
         if not self.terms:
             return "0"
         pieces = []
-        for exps, coeff in self.sorted_terms():
+        for exps, coeff in sorted(self.terms.items(),
+                                  key=lambda item: (sum(item[0]), tuple(-x for x in item[0]))):
             factors = [f"{coeff:+d}"]
             for name, e in zip(self.variables, exps):
                 if e == 1:
@@ -494,7 +487,7 @@ class MacMahonElement:
         terms: dict[VectorPartition, int] = {}
         for p1, c1 in self.terms.items():
             for p2, c2 in other.terms.items():
-                key = p1.concat(p2)
+                key = VectorPartition(self.width, p1.parts + p2.parts)
                 terms[key] = terms.get(key, 0) + c1 * c2
         return MacMahonElement(self.width, terms)
 

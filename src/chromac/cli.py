@@ -25,6 +25,8 @@ from .hopf import (antipode, coproduct, egdp_convolution, recover_egdp_hopf,
 
 _EXIT_CODES = {GraphFormatError: 2, CapExceededError: 3, NotApplicableError: 4}
 
+GRAPH_FILE_CHARS = 1 << 22  # characters read from one graph file; a longer file is refused
+
 
 def _int_at_least(least: int) -> Callable[[str], int]:
     """argparse type for an integer option that must be at least `least`."""
@@ -40,9 +42,11 @@ def _int_at_least(least: int) -> Callable[[str], int]:
 def _load_graph(path: str) -> WeightedGraph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read(GRAPH_FILE_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}")
+    if len(text) > GRAPH_FILE_CHARS:
+        raise CapExceededError(f"{path} is longer than the cap of {GRAPH_FILE_CHARS} characters")
     return parse_graph(text)
 
 

@@ -225,9 +225,7 @@ def random_forest(n: int, max_weight: int = 4, r: int = 1,
 
 
 def parse_graph(text: str) -> WeightedGraph:
-    n: int | None = None
-    r = 1
-    saw_r = False
+    scalars: dict[str, int] = {}
     weight_lines: dict[int, Vector] = {}
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -240,19 +238,12 @@ def parse_graph(text: str) -> WeightedGraph:
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer field in {raw!r}")
         key = fields[0]
-        if key == "n":
-            if n is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate n")
+        if key in ("n", "r"):
+            if key in scalars:
+                raise GraphFormatError(f"line {lineno}: duplicate {key}")
             if len(values) != 1:
-                raise GraphFormatError(f"line {lineno}: n takes one value")
-            n = values[0]
-        elif key == "r":
-            if saw_r:
-                raise GraphFormatError(f"line {lineno}: duplicate r")
-            if len(values) != 1:
-                raise GraphFormatError(f"line {lineno}: r takes one value")
-            r = values[0]
-            saw_r = True
+                raise GraphFormatError(f"line {lineno}: {key} takes one value")
+            scalars[key] = values[0]
         elif key == "weight":
             if len(values) < 2:
                 raise GraphFormatError(f"line {lineno}: weight needs a vertex and coordinates")
@@ -265,8 +256,9 @@ def parse_graph(text: str) -> WeightedGraph:
             edges.append((values[0], values[1]))
         else:
             raise GraphFormatError(f"line {lineno}: unknown directive {key!r}")
-    if n is None:
+    if "n" not in scalars:
         raise GraphFormatError("missing n line")
+    n = scalars["n"]
     # an error lists at most the first ten vertices, so that a huge n
     # cannot make a huge message
     present = sum(1 for v in weight_lines if 0 <= v < n)
@@ -279,7 +271,7 @@ def parse_graph(text: str) -> WeightedGraph:
         raise GraphFormatError(f"weight for {len(extra)} out-of-range vertices: "
                                + _first_ten(extra, len(extra)))
     weights = tuple(weight_lines[v] for v in range(n))
-    return WeightedGraph(n, weights, tuple(edges), r)
+    return WeightedGraph(n, weights, tuple(edges), scalars.get("r", 1))
 
 
 def _first_ten(vertices: Iterable[int], count: int) -> str:

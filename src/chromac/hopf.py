@@ -84,7 +84,7 @@ class LinearFunctional:
     variables: tuple[str, ...]
     rule: Callable[[VectorPartition], LaurentPolynomial]
     _cache: dict[VectorPartition, LaurentPolynomial] = field(
-        default_factory=dict, repr=False, compare=False)
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def on_basis(self, partition: VectorPartition) -> LaurentPolynomial:
         value = self._cache.get(partition)

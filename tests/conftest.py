@@ -268,7 +268,8 @@ def coproduct_respects_product(a: MacMahonElement, b: MacMahonElement) -> bool:
     terms: dict[tuple[VectorPartition, VectorPartition], int] = {}
     for (l1, r1), c1 in coproduct(a).terms.items():
         for (l2, r2), c2 in coproduct(b).terms.items():
-            key = (l1.concat(l2), r1.concat(r2))
+            key = (VectorPartition(a.width, l1.parts + l2.parts),
+                   VectorPartition(a.width, r1.parts + r2.parts))
             terms[key] = terms.get(key, 0) + c1 * c2
     return lhs == TensorElement(a.width, terms)
 

@@ -414,6 +414,38 @@ def test_malformed_file_is_a_parse_error(capsys, tmp_path):
             assert "error:" in err, (content, argv)
 
 
+def test_graph_file_cap_exit_code(capsys, tmp_path, monkeypatch):
+    """A graph file longer than the cap exits 3 before it is parsed; one
+    at exactly the cap is computed."""
+    monkeypatch.setattr("chromac.cli.GRAPH_FILE_CHARS", 64)
+    text = serialize_graph(path_graph([1, 2]))
+    path = tmp_path / "padded.graph"
+    path.write_text(text + "#" * (63 - len(text)) + "\n")
+    assert len(path.read_text()) == 64
+    code, out, _ = run(capsys, "compute", str(path), "--invariant", "cmf")
+    assert (code, out) == (0, "-1 * p[(2,3)]\n+1 * p[(1,2),(1,1)]\n")
+    path.write_text(text + "#" * (64 - len(text)) + "\n")
+    code, out, err = run(capsys, "compute", str(path), "--invariant", "cmf")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero") or importlib.util.find_spec("resource") is None,
+                    reason="needs /dev/zero and the resource module")
+def test_endless_graph_file_is_refused_in_bounded_memory():
+    """An endless input exits 3 in a fresh interpreter whose address space
+    is capped at 512 MiB, so reading it whole would end in a traceback."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", "import resource, sys; "
+                           "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
+                           "from chromac.cli import main; sys.exit(main(sys.argv[1:]))",
+                           "compute", "/dev/zero", "--invariant", "cmf"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 def test_edge_cap_exit_code(capsys):
     code, _, err = run(capsys, "compute", str(DATA / "t1.graph"),
                        "--invariant", "cmf", "--max-edges", "2")

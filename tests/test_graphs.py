@@ -253,9 +253,13 @@ def test_parse_errors():
         ("n 2\nweight 0 1\nweight 1 1\nedge 0 0\n", "loop"),
         ("n 2\nweight 0 1\nweight 1 1\nedge 0 1\nedge 0 1\n", "duplicate edge"),
         ("n 1\nr 2\nweight 0 1\n", "dimension"),
+        ("n 1\nr 1\nr 1\nweight 0 1\n", "duplicate r"),
+        ("n 1 2\nweight 0 1\n", "n takes one value"),
+        ("n 1\nr\nweight 0 1\n", "r takes one value"),
+        ("n 1\nweight 0\n", "weight needs a vertex"),
     ]
-    for text, _ in cases:
-        with pytest.raises(GraphFormatError):
+    for text, fragment in cases:
+        with pytest.raises(GraphFormatError, match=fragment):
             parse_graph(text)
 
 
