@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .errors import CapExceededError
@@ -40,16 +39,25 @@ TRUNCATE_LIVE_EXPONENTS = 1 << 23  # terms times variables of a truncation being
 # Vector partitions
 
 
-@dataclass(frozen=True)
+def coordinate_sums(vectors: tuple[Vector, ...], width: int) -> Vector:
+    """Coordinatewise sum of vectors of the given width; zeros for none."""
+    return tuple(map(sum, zip(*vectors))) or (0,) * width
+
+
+@dataclass(frozen=True, slots=True)
 class VectorPartition:
     """Canonical multiset of nonzero vectors in N^width.
 
     Parts are stored sorted in descending lexicographic order, so two
-    partitions are equal iff their part multisets are equal.
+    partitions are equal iff their part multisets are equal.  The grade
+    and the hash are derived from the parts and stored by both
+    constructors.
     """
 
     width: int
     parts: tuple[Vector, ...]
+    grade: Vector = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -64,6 +72,7 @@ class VectorPartition:
         ordered = tuple(sorted(self.parts, reverse=True))
         if ordered != self.parts:
             object.__setattr__(self, "parts", ordered)
+        object.__setattr__(self, "grade", coordinate_sums(self.parts, self.width))
         object.__setattr__(self, "_hash", hash((self.width, self.parts)))
 
     @classmethod
@@ -71,14 +80,12 @@ class VectorPartition:
                        grade: Vector | None = None) -> VectorPartition:
         """Trusted constructor for parts already valid and in descending
         order; skips the checks, for callers that build many partitions,
-        and takes the grade from a caller that knows it.  Like the checked
-        constructor it stores the hash as it builds the partition."""
+        and takes the grade from a caller that knows it."""
         partition = object.__new__(cls)
         store = object.__setattr__
         store(partition, "width", width)
         store(partition, "parts", parts)
-        if grade is not None:
-            store(partition, "grade", grade)
+        store(partition, "grade", coordinate_sums(parts, width) if grade is None else grade)
         store(partition, "_hash", hash((width, parts)))
         return partition
 
@@ -96,16 +103,7 @@ class VectorPartition:
     def length(self) -> int:
         return len(self.parts)
 
-    @cached_property
-    def grade(self) -> Vector:
-        """Coordinatewise sum of the parts (the multidegree)."""
-        total = [0] * self.width
-        for part in self.parts:
-            for i, c in enumerate(part):
-                total[i] += c
-        return tuple(total)
-
-    def __hash__(self) -> int:  # stored by both constructors, read without an instance dict
+    def __hash__(self) -> int:
         return self._hash
 
     def multiplicities(self) -> dict[Vector, int]:

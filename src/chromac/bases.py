@@ -68,7 +68,7 @@ def realizable_partitions(multidegree: tuple[int, int]) -> list[VectorPartition]
                 raise CapExceededError(
                     f"multidegree ({n},{w}) has more than {TRANSITION_MATRIX_ROWS} realizable "
                     "partitions, the row budget of a transition matrix")
-            found.append(VectorPartition.from_canonical(2, tuple(parts)))
+            found.append(VectorPartition.from_canonical(2, tuple(parts), (n, w)))
             return
         excess = weight - size
         for a in range(min(size, largest[0]), 0, -1):

@@ -390,8 +390,7 @@ def specialize_egdp(poly: LaurentPolynomial, target: str) -> LaurentPolynomial:
     return LaurentPolynomial(("x", "y", "z"), terms)
 
 
-def cmf_by_enumeration(g: WeightedGraph, colors: int,
-                       max_colorings: int = DEFAULT_MAX_COLORINGS) -> LaurentPolynomial:
+def cmf_by_enumeration(g: WeightedGraph, colors: int) -> LaurentPolynomial:
     """Truncated CMF as the generating function of the proper colorings
     with the given number of colors, independent of the CMF.
 
@@ -407,8 +406,9 @@ def cmf_by_enumeration(g: WeightedGraph, colors: int,
     CapExceededError."""
     if colors < 0:
         raise ValueError("number of colors must be >= 0")
-    if colors ** g.n > max_colorings:
-        raise CapExceededError(f"{colors}^{g.n} colorings exceeds the cap of {max_colorings}")
+    if colors ** g.n > DEFAULT_MAX_COLORINGS:
+        raise CapExceededError(
+            f"{colors}^{g.n} colorings exceeds the cap of {DEFAULT_MAX_COLORINGS}")
     block = g.r + 1
     budget = TRUNCATE_LIVE_EXPONENTS // max(1, colors * block)  # in states
     exceeded = CapExceededError(f"the {colors}-color coloring enumeration exceeds its "

@@ -12,10 +12,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .algebra import Vector
+from .algebra import Vector, coordinate_sums
 from .errors import CapExceededError
 
 Edge = tuple[int, int]
@@ -57,12 +57,13 @@ def _normalize_weight(w: int | Iterable[int]) -> Vector:
     return tuple(w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedGraph:
     n: int
     weights: tuple[Vector, ...]
     edges: tuple[Edge, ...]
     r: int = 1
+    total_weight: Vector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -90,18 +91,11 @@ class WeightedGraph:
                 raise GraphFormatError(f"duplicate edge {e}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "total_weight", coordinate_sums(weights, self.r))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @property
-    def total_weight(self) -> Vector:
-        total = [0] * self.r
-        for w in self.weights:
-            for i, c in enumerate(w):
-                total[i] += c
-        return tuple(total)
 
     def is_forest(self) -> bool:
         uf = UnionFind(self.n)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from chromac import (CapExceededError, LaurentPolynomial, MacMahonElement, TensorElement,
-                     VectorPartition, cmf, partitions_of, path_graph, truncation_variables)
+                     VectorPartition, cmf, coproduct, partitions_of, path_graph,
+                     realizable_partitions, specialize_csf, truncation_variables)
 from chromac.algebra import (_expand_one_minus_u, _one_minus_u_power, add_product,
                              character_sum, pack, unpack)
 
@@ -254,6 +255,33 @@ def test_from_canonical_equals_and_hashes_like_of(parts):
         trusted = VectorPartition.from_canonical(2, checked.parts, grade)
         assert trusted == checked and trusted.grade == checked.grade
         assert hash(trusted) == hash(checked) == hash((2, checked.parts))
+
+
+def test_partitions_store_their_grade_and_hash_on_every_path():
+    """Every way of building a partition stores the grade as the sums of
+    its parts and the hash of (width, parts), in slots rather than an
+    instance dict; the records compare and print as plain dataclasses."""
+    parts = ((1, 1), (2, 3), (1, 1))
+    built = [VectorPartition(2, parts), vp(*parts),
+             VectorPartition.from_canonical(2, vp(*parts).parts),
+             VectorPartition.from_canonical(2, vp(*parts).parts, (4, 5))]
+    built += [VectorPartition.of([], width=w) for w in (1, 2, 3)]
+    built += [VectorPartition.from_canonical(w, ()) for w in (1, 2, 3)]
+    product = (MacMahonElement(2, {vp((1, 2)): 3, vp((2, 1), (1, 1)): -1})
+               * MacMahonElement(2, {vp((1, 1)): 1, vp(): 2}))
+    built += list(product.terms)
+    built += [side for pair in coproduct(product).terms for side in pair]
+    element = cmf(path_graph([1, 2, 1]))
+    built += [p for keep in ("cardinality", "weight")
+              for p in specialize_csf(element, keep).terms]
+    built += realizable_partitions((4, 6))
+    for p in built:
+        assert not hasattr(p, "__dict__")
+        assert p.grade == tuple(sum(part[i] for part in p.parts) for i in range(p.width))
+        assert hash(p) == hash((p.width, p.parts))
+    assert [p.grade for p in built[4:10]] == [(0,), (0, 0), (0, 0, 0)] * 2
+    assert built[0] == built[1] == built[2] == built[3]
+    assert repr(built[3]) == "VectorPartition(width=2, parts=((2, 3), (1, 1), (1, 1)))"
 
 
 ELEMENT_MAKERS = {

@@ -18,6 +18,27 @@ from conftest import (component_type, connected_components, ext_int_counts, indu
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+def test_graphs_store_their_total_weight_in_slots():
+    """The total weight is stored once, as the coordinate sums of the
+    weights, and a graph has no instance dict; graphs built by different
+    paths compare equal and print the same."""
+    cases = [(WeightedGraph(0, (), (), 2), (0, 0)), (WeightedGraph(0, (), ()), (0,)),
+             (path_graph([2, 1, 3]), (6,)),
+             (WeightedGraph(2, ((1, 4), (2, 5)), ((1, 0),), r=2), (3, 9))]
+    for g, total in cases:
+        assert not hasattr(g, "__dict__")
+        assert g.total_weight == total
+    built = [path_graph([1, 2]), WeightedGraph(2, (1, (2,)), ((1, 0),)),
+             parse_graph("n 2\nweight 1 2\nweight 0 1\nedge 1 0\n")]
+    assert built[0] == built[1] == built[2] and hash(built[0]) == hash(built[2])
+    assert {repr(g) for g in built} == {
+        "WeightedGraph(n=2, weights=((1,), (2,)), edges=((0, 1),), r=1)"}
+
+
+# ---------------------------------------------------------------------------
 # Validation
 
 
