@@ -140,29 +140,22 @@ def _frontier_steps(g: WeightedGraph) -> Iterator[tuple[int, list[int], list[int
     for u, v in g.edges:
         adjacency[u].add(v)
         adjacency[v].add(u)
-    placed_neighbours = [0] * g.n
+    unplaced = [len(neighbours) for neighbours in adjacency]  # neighbours not yet placed
     placed = [False] * g.n
-    heap = [(0, v) for v in range(g.n)]  # sorted, hence a heap
-    order: list[int] = []
+    heap = [(0, v) for v in range(g.n)]  # sorted, hence a heap; keys are minus placed counts
+    frontier: list[int] = []
     while heap:
         minus_count, v = heapq.heappop(heap)
-        if placed[v] or -minus_count != placed_neighbours[v]:
+        if placed[v] or minus_count != unplaced[v] - len(adjacency[v]):
             continue  # an entry superseded by a later push
         placed[v] = True
-        order.append(v)
         for u in adjacency[v]:
+            unplaced[u] -= 1
             if not placed[u]:
-                placed_neighbours[u] += 1
-                heapq.heappush(heap, (-placed_neighbours[u], u))
-    last = [-1] * g.n  # the step that places each vertex's last neighbour
-    for step, v in enumerate(order):
-        for u in adjacency[v]:
-            last[u] = step
-    frontier: list[int] = []
-    for step, v in enumerate(order):
+                heapq.heappush(heap, (unplaced[u] - len(adjacency[u]), u))
         frontier.append(v)
         touching = [i for i, u in enumerate(frontier) if u in adjacency[v]]
-        staying = [i for i, u in enumerate(frontier) if last[u] > step]
+        staying = [i for i, u in enumerate(frontier) if unplaced[u] > 0]
         yield v, frontier, touching, staying
         frontier = [frontier[i] for i in staying]
 

@@ -5,8 +5,9 @@ the counting functional; a graph's connected components and subset
 statistics: the component type of an edge subset, the induced subgraph
 and the external and internal edge counts of a vertex subset), Hopf-axiom
 checkers used by both the unit and acceptance suites, and definitional
-oracles for the CMF and EGDP dynamic programs, fingerprint oracles that
-evaluate both sides of the recovery identity at a point modulo a prime
+oracles for the CMF and EGDP dynamic programs and the three-pass form of
+their shared walk, fingerprint oracles that evaluate both sides of the
+recovery identity at a point modulo a prime
 (Gamma of the CMF of any graph too, by deletion and contraction),
 the packed truncation, the coloring enumeration, the one-pass
 specialisations, the grouped coproduct, the trie-kernel Hopf evaluations, the trie kernel's
@@ -16,6 +17,7 @@ a partition, the disjoint union of its checked members, row by row)."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -507,6 +509,44 @@ def cmf_by_edge_subsets(g: WeightedGraph) -> MacMahonElement:
         key = component_type(g, subset)
         terms[key] = terms.get(key, 0) + (-1) ** len(subset)
     return MacMahonElement(g.r + 1, terms)
+
+
+def frontier_steps_three_pass(g: WeightedGraph):
+    """The walk of `chromatic._frontier_steps` in three passes: a heap loop
+    that records the order (the unplaced vertex with the most placed
+    neighbours, ties to the smaller index), a loop that records the step
+    placing each vertex's last neighbour, and a replay of the order that
+    builds the frontiers.  Yields the same (v, frontier, touching,
+    staying) per step."""
+    adjacency: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    placed_neighbours = [0] * g.n
+    placed = [False] * g.n
+    heap = [(0, v) for v in range(g.n)]
+    order: list[int] = []
+    while heap:
+        minus_count, v = heapq.heappop(heap)
+        if placed[v] or -minus_count != placed_neighbours[v]:
+            continue
+        placed[v] = True
+        order.append(v)
+        for u in adjacency[v]:
+            if not placed[u]:
+                placed_neighbours[u] += 1
+                heapq.heappush(heap, (-placed_neighbours[u], u))
+    last = [-1] * g.n
+    for step, v in enumerate(order):
+        for u in adjacency[v]:
+            last[u] = step
+    frontier: list[int] = []
+    for step, v in enumerate(order):
+        frontier.append(v)
+        touching = [i for i, u in enumerate(frontier) if u in adjacency[v]]
+        staying = [i for i, u in enumerate(frontier) if last[u] > step]
+        yield v, frontier, touching, staying
+        frontier = [frontier[i] for i in staying]
 
 
 def closed_types_by_bit_walk(states: dict[int, int], shifts: dict[int, int], low: int,

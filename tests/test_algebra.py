@@ -49,6 +49,11 @@ def test_partition_rejects_mixed_widths():
         VectorPartition(2, ((1, 2), (1, 2, 3)))
 
 
+def test_partition_rejects_width_zero():
+    with pytest.raises(ValueError, match="partition width must be >= 1"):
+        VectorPartition(0, ())
+
+
 def test_empty_partition_needs_width():
     with pytest.raises(ValueError):
         VectorPartition.of([])
@@ -663,3 +668,20 @@ def test_tensor_text_golden():
     a = MacMahonElement.power_sum(vp((1, 1)))
     t = tensor_sum(2, [tensor_product(a, one), tensor_product(one, a)])
     assert t.to_text() == "+1 * p[] (x) p[(1,1)]\n+1 * p[(1,1)] (x) p[]"
+    assert TensorElement(2, {}).to_text() == "0"
+
+
+def test_tensor_rejects_a_factor_of_the_wrong_width():
+    for key in ((vp((1, 1)), vp((1, 1, 1))), (vp((1, 1, 1)), vp((1, 1)))):
+        with pytest.raises(ValueError,
+                           match="tensor factor width does not match element width"):
+            TensorElement(2, {key: 1})
+
+
+def test_str_is_the_text_form():
+    a = MacMahonElement.power_sum(vp((1, 2), (1, 1)))
+    values = [LaurentPolynomial(("x", "y"), {(1, -2): 3, (0, 0): -1}),
+              LaurentPolynomial(("x",), {}), a, MacMahonElement(2, {}),
+              tensor_product(a, MacMahonElement.one(2)), TensorElement(2, {})]
+    for value in values:
+        assert str(value) == value.to_text()

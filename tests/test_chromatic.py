@@ -20,8 +20,8 @@ from chromac import (CapExceededError, LaurentPolynomial, MacMahonElement,
 from chromac.cli import main
 
 from conftest import (beta_by_edge_subsets, closed_types_by_bit_walk, cmf_by_edge_subsets,
-                      colorings_by_product, egdp_by_vertex_subsets, gamma_at,
-                      gamma_by_contraction_at, gamma_by_terms_at, random_point,
+                      colorings_by_product, egdp_by_vertex_subsets, frontier_steps_three_pass,
+                      gamma_at, gamma_by_contraction_at, gamma_by_terms_at, random_point,
                       random_simple_graph, specialize_csf_two_pass, specialize_egdp_two_pass,
                       substitute_one)
 
@@ -259,6 +259,31 @@ def petersen_graph(weights) -> WeightedGraph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return WeightedGraph(10, tuple(weights), tuple(outer + spokes + inner))
+
+
+@st.composite
+def walk_graphs(draw):
+    """Graphs with n <= 16: edgeless, complete, a random forest, or a
+    random simple graph, sparse to dense."""
+    n = draw(st.integers(0, 16))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        return random_forest(n, seed=seed)
+    density = draw(st.sampled_from([0.0, 0.15, 0.4, 0.7, 0.9, 1.0]))
+    return random_simple_graph(random.Random(seed), n, density=density)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_graphs())
+@example(WeightedGraph(0, (), ()))
+@example(petersen_graph([1] * 10))
+def test_walk_matches_its_three_pass_form(g):
+    """Every step of the one-pass walk, the frontier as it is yielded,
+    equals the step of the walk that records the order and each vertex's
+    last neighbour before it replays the order."""
+    steps = [(v, list(frontier), touching, staying)
+             for v, frontier, touching, staying in chromatic._frontier_steps(g)]
+    assert steps == list(frontier_steps_three_pass(g)), g
 
 
 def widest_frontier(g: WeightedGraph) -> int:
@@ -783,6 +808,11 @@ def test_oracle_respects_coloring_cap(monkeypatch):
     g = path_graph([1] * 10)
     with pytest.raises(CapExceededError, match=r"3\^10 colorings exceeds the cap of 100"):
         cmf_by_enumeration(g, 3)
+
+
+def test_oracle_rejects_negative_colors():
+    with pytest.raises(ValueError, match="number of colors must be >= 0"):
+        cmf_by_enumeration(path_graph([1, 2]), -1)
 
 
 @st.composite

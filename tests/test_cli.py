@@ -150,25 +150,24 @@ def test_verify_runs_the_convolution_kernel_once_per_forest(capsys, monkeypatch)
     import chromac.cli as cli
     import chromac.hopf as hopf
     kernel_calls = []
-    per_forest = []
-    character_sum, check_forest = hopf.character_sum, cli._check_forest
+    starts = []  # kernel calls made before each forest's cmf
+    character_sum, cmf = hopf.character_sum, cli.cmf
 
     def counting_sum(*args, **kwargs):
         kernel_calls.append(1)
         return character_sum(*args, **kwargs)
 
-    def counting_check(g):
-        before = len(kernel_calls)
-        failure = check_forest(g)
-        per_forest.append(len(kernel_calls) - before)
-        return failure
+    def marking_cmf(g):
+        starts.append(len(kernel_calls))
+        return cmf(g)
 
     monkeypatch.setattr(hopf, "character_sum", counting_sum)
-    monkeypatch.setattr(cli, "_check_forest", counting_check)
+    monkeypatch.setattr(cli, "cmf", marking_cmf)
     code, out, _ = run(capsys, "verify", "--mode", "exhaustive", "--n-max", "4")
     assert code == 0
     # 2 + 4 + 3 * 8 + 16 * 16 forests
     assert out == "mode: exhaustive\nchecked: 286 forests\nRESULT: PASS\n"
+    per_forest = [end - start for start, end in zip(starts, [*starts[1:], len(kernel_calls)])]
     assert per_forest == [1] * 286
 
 
@@ -176,12 +175,18 @@ def test_verify_runs_the_convolution_kernel_once_per_forest(capsys, monkeypatch)
 def test_verify_prints_a_reproducer_on_failure(capsys, monkeypatch, mode):
     import chromac.cli as cli
     seen = []
+    egdp, recover = cli.egdp, cli.recover_egdp_hopf
 
-    def fail_third(g):
+    def recording_egdp(g):
         seen.append(g)
-        return "hopf route mismatch" if len(seen) == 3 else None
+        return egdp(g)
 
-    monkeypatch.setattr(cli, "_check_forest", fail_third)
+    def wrong_third(element):
+        poly = recover(element)
+        return -poly if len(seen) == 3 else poly
+
+    monkeypatch.setattr(cli, "egdp", recording_egdp)
+    monkeypatch.setattr(cli, "recover_egdp_hopf", wrong_third)
     code, out, err = run(capsys, "verify", "--mode", mode, "--n-max", "3")
     assert code == 1
     assert out == serialize_graph(seen[-1]) + "RESULT: FAIL\n"

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from chromac import (GraphFormatError, VectorPartition, WeightedGraph,
-                     all_labeled_trees, counterexample_pair, disjoint_union,
+from chromac import (CapExceededError, GraphFormatError, VectorPartition, WeightedGraph,
+                     all_labeled_trees, counterexample_pair, cycle_graph, disjoint_union,
                      parse_graph, path_graph, random_forest, serialize_graph,
                      star_graph, tree_from_pruefer)
 
@@ -67,6 +67,21 @@ def test_rejects_weight_dimension_mismatch():
         WeightedGraph(2, ((1,), (1, 2)), (), r=1)
     with pytest.raises(GraphFormatError):
         WeightedGraph(1, ((1,),), (), r=2)
+
+
+def test_rejects_negative_vertex_count():
+    with pytest.raises(GraphFormatError, match="vertex count must be >= 0"):
+        parse_graph("n -1\n")
+
+
+def test_rejects_wrong_weight_count():
+    with pytest.raises(GraphFormatError, match="expected 2 weights, got 1"):
+        WeightedGraph(2, ((1,),), ())
+
+
+def test_rejects_weight_dimension_zero():
+    with pytest.raises(GraphFormatError, match="weight dimension must be >= 1"):
+        WeightedGraph(0, (), (), 0)
 
 
 def test_edges_are_normalized():
@@ -227,6 +242,25 @@ def test_random_forest_multiweight():
     g = random_forest(6, max_weight=3, r=2, seed=9)
     assert g.r == 2
     assert all(len(w) == 2 and all(1 <= c <= 3 for c in w) for w in g.weights)
+
+
+def test_constructors_check_their_arguments():
+    with pytest.raises(ValueError, match="weight dimensions differ"):
+        disjoint_union(path_graph([1]), WeightedGraph(1, ((1, 1),), (), 2))
+    with pytest.raises(ValueError, match="a cycle needs at least 3 vertices"):
+        cycle_graph([1, 1])
+    with pytest.raises(ValueError, match="need n >= 1"):
+        tree_from_pruefer((), 0)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        random_forest(-1)
+    with pytest.raises(ValueError, match="need max_weight >= 1"):
+        random_forest(3, max_weight=0)
+
+
+def test_random_forest_refuses_too_many_weights():
+    with pytest.raises(CapExceededError,
+                       match=r"^10001 \* 1 weight coordinates exceeds the cap of 10000$"):
+        random_forest(10_001)
 
 
 # ---------------------------------------------------------------------------
